@@ -83,7 +83,13 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
         values make clipping (acceptance probability exceeding one) rarer at
         the cost of more ``L_2`` samples.
     failure_probability:
-        Target probability of returning ``FAIL``; drives the default ``N``.
+        Sizes the default ``N`` as if every ``L_2`` draw succeeded, so it
+        is not the ``FAIL`` rate the sampler reaches.  The ``L_2`` gap test
+        itself fails on a fraction ``f`` of draws (about 0.17 at
+        ``n = 1024, p = 3`` on a sliding-window stream, 0.27 at
+        ``n = 64, p = 2.5``), which leaves ``FAIL`` at about
+        ``exp(-N (1 - f) / (C n^{1-2/p}))``: 0.39 predicted against 0.42
+        measured at ``n = 1024, p = 3`` with the default one third.
     backend:
         ``"sketch"`` or ``"oracle"`` (see module docstring).
     value_instances:
@@ -131,7 +137,8 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
             seeds = random_seed_array(rng, num_l2_samples + 2)
             # The N parallel L_2 samplers are the sampler's inner repetition
             # loop; dispatch them to the native replica ensemble so one
-            # batch of stream updates lands in all of them at once.
+            # batch of stream updates lands in all of them at once.  They
+            # share one configuration, so this is a JW18LpSamplerEnsemble.
             self._l2_ensemble = build_ensemble([
                 PerfectL2Sampler(
                     n, int(seed_value), value_instances=value_instances,
@@ -264,18 +271,13 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
                 yield index, estimates, exact
         else:
             ensemble = self._l2_ensemble
-            native = hasattr(ensemble, "independent_value_estimates")
             for replica in range(ensemble.num_replicas):
                 drawn = ensemble.sample_replica(replica)
                 if drawn is None:
                     continue
                 index = drawn.index
-                if native:
-                    estimates = ensemble.independent_value_estimates(
-                        replica, index, max(needed, 1))
-                else:
-                    estimates = ensemble.replicas[replica].independent_value_estimates(
-                        index, max(needed, 1))
+                estimates = ensemble.independent_value_estimates(
+                    replica, index, max(needed, 1))
                 pivot = drawn.value_estimate
                 if pivot is None or pivot == 0.0:
                     pivot = float(np.mean(estimates)) or 1.0
@@ -319,10 +321,6 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
         if self._backend == "oracle":
             return float(self._exact_vector[index])
         ensemble = self._l2_ensemble
-        if hasattr(ensemble, "estimate_value"):
-            estimates = [ensemble.estimate_value(replica, index)
-                         for replica in range(min(8, ensemble.num_replicas))]
-        else:
-            estimates = [instance.estimate_value(index)
-                         for instance in ensemble.replicas[:8]]
+        estimates = [ensemble.estimate_value(replica, index)
+                     for replica in range(min(8, ensemble.num_replicas))]
         return float(np.mean(estimates))

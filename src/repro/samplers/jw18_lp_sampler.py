@@ -30,7 +30,7 @@ part of the algorithm.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -251,6 +251,49 @@ class JW18LpSampler(BatchUpdateMixin):
         return np.array(self._scaled_estimates(), copy=True)
 
 
+class _Candidates(NamedTuple):
+    """Per-replica query arrays of one ingest state (see
+    :meth:`JW18LpSamplerEnsemble._candidate_arrays`)."""
+
+    top: np.ndarray                #: top coordinate, -1 if the replica has no mass
+    gap: np.ndarray                #: top magnitude minus the runner-up's
+    scale: Optional[np.ndarray]    #: AMS ``||z||_2`` estimates (sketch mode)
+    values: Optional[np.ndarray]   #: ``(R, value_instances)`` estimates at ``top``
+
+
+def _top_and_gap(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's top coordinate (-1 without mass) and its gap to the runner-up.
+
+    Equals the scalar walk of ``sample()`` — ``argsort(-|z|)``, top minus
+    second — row for row: ``argmax`` finds a unique top; a row whose top
+    is tied, or that holds a NaN, takes the ``argsort`` index instead,
+    because there the two may pick different coordinates.  ``magnitudes``
+    is written to and restored, so it holds no second ``(R, n)`` copy.
+    """
+    replicas, n = magnitudes.shape
+    rows = np.arange(replicas)
+    top = np.argmax(magnitudes, axis=1)
+    maximum = magnitudes[rows, top]
+    runner_up = np.zeros(replicas)
+    if n > 1:
+        magnitudes[rows, top] = -np.inf
+        runner_up = magnitudes.max(axis=1)
+        magnitudes[rows, top] = maximum
+    gap = maximum - runner_up
+    top[~(maximum > 0)] = -1
+    for row in np.flatnonzero(((runner_up == maximum) & (maximum > 0))
+                              | np.isnan(maximum)):
+        values = magnitudes[row]
+        if not np.any(values > 0):
+            top[row] = -1
+            continue
+        # Reached only with n > 1: a single positive value is never tied.
+        order = np.argsort(-values)
+        top[row] = order[0]
+        gap[row] = float(values[order[0]]) - float(values[order[1]])
+    return top, gap
+
+
 class JW18LpSamplerEnsemble(ReplicaEnsemble):
     """``R`` independent JW18 samplers driven by one shared ingest pass.
 
@@ -259,10 +302,11 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
     in the replicas' substrates through three native ensembles (the main
     CountSketch, the flattened ``R * value_instances`` value-bank members,
     and the AMS sketches) — or, in oracle mode, one stacked
-    ``(R, n)`` scaled-vector scatter.  Per-replica query math runs on
-    identically laid-out slices and consumes each replica's own generator
-    exactly as the standalone ``sample()`` does, so both state and samples
-    are bit-identical to driving each instance separately.
+    ``(R, n)`` scaled-vector scatter.  Queries derive each replica's top
+    coordinate, gap, ``L_2`` scale and value estimates for all replicas at
+    once per ingest state; each draw then consumes its replica's own
+    generator exactly as the standalone ``sample()`` does, so both state
+    and samples are bit-identical to driving each instance separately.
 
     Replicas must be *fresh* (un-updated) when the ensemble is built: the
     stacked state starts from the instances' (zero) tables.
@@ -300,7 +344,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             self._value_group = first._value_bank.num_instances
             self._ams = AMSEnsemble([inst._ams for inst in instances])
         self._num_updates = 0
-        self._estimates_cache: np.ndarray | None = None
+        self._drop_query_caches()
 
     @classmethod
     def concat(cls, ensembles: "list[JW18LpSamplerEnsemble]") -> "JW18LpSamplerEnsemble":
@@ -341,7 +385,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             merged._value = CountSketchEnsemble.concat([e._value for e in ensembles])
             merged._ams = AMSEnsemble.concat([e._ams for e in ensembles])
         merged._num_updates = first._num_updates
-        merged._estimates_cache = None
+        merged._drop_query_caches()
         return merged
 
     def merge(self, other: "JW18LpSamplerEnsemble") -> "JW18LpSamplerEnsemble":
@@ -374,7 +418,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             self._value.merge(other._value)
             self._ams.merge(other._ams)
         self._num_updates += other._num_updates
-        self._estimates_cache = None
+        self._drop_query_caches()
         return self
 
     def update_batch(self, indices, deltas) -> None:
@@ -393,7 +437,26 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             self._value.update_batch(indices, scaled)
             self._ams.update_batch(indices, scaled)
         self._num_updates += int(indices.size)
+        self._drop_query_caches()
+
+    def _drop_query_caches(self) -> None:
+        """Forget what the queries derived from the current ingest state."""
         self._estimates_cache = None
+        self._candidates = None
+
+    def __getstate__(self):
+        """Pickle without the query caches; they are recomputed from the
+        sketch tables by the next query."""
+        state = self.__dict__.copy()
+        state["_estimates_cache"] = None
+        state["_candidates"] = None
+        return state
+
+    def __setstate__(self, state):
+        """Restore with empty query caches (also for snapshots that kept
+        ``_estimates_cache``)."""
+        self.__dict__.update(state)
+        self._drop_query_caches()
 
     def _scaled_estimates(self) -> np.ndarray:
         """The ``(R, n)`` matrix of per-replica scaled-vector estimates."""
@@ -404,8 +467,32 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
                 self._estimates_cache = self._main.estimate_all_members()
         return self._estimates_cache
 
+    def _candidate_arrays(self) -> _Candidates:
+        """The per-replica query arrays of the current ingest state.
+
+        Computed once per state for all ``R`` replicas, so each
+        :meth:`sample_replica` call only reads them: the main-sketch
+        estimates, their top coordinate and gap, the AMS scales, and the
+        value-bank members' estimates at each replica's top coordinate
+        (only those ``R * value_instances * rows`` cells are read).
+        """
+        if self._candidates is None:
+            top, gap = _top_and_gap(np.abs(self._scaled_estimates()))
+            scale = values = None
+            if not self._exact:
+                scale = np.sqrt(self._ams.estimate_f2_members())
+                keys = np.repeat(np.maximum(top, 0), self._value_group)
+                values = self._value.estimate_at(
+                    np.arange(self._value.num_members), keys,
+                ).reshape(self.num_replicas, self._value_group)
+            self._candidates = _Candidates(top, gap, scale, values)
+        return self._candidates
+
     def _value_member_estimates(self, replica: int, index: int) -> np.ndarray:
         """Per-member value-bank estimates of one replica at one coordinate."""
+        candidates = self._candidates
+        if candidates is not None and index == candidates.top[replica]:
+            return candidates.values[replica]
         members = slice(replica * self._value_group,
                         (replica + 1) * self._value_group)
         return self._value.estimate_members_at(members, index)
@@ -440,22 +527,24 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         return np.asarray(groups) * unscale
 
     def sample_replica(self, replica: int) -> Optional[Sample]:
-        """One-shot draw of replica ``replica`` (mirrors ``sample()``)."""
+        """One-shot draw of replica ``replica`` (mirrors ``sample()``).
+
+        Reads the per-state arrays of :meth:`_candidate_arrays`; the gap
+        test's jitter still comes from the replica's own generator, and the
+        threshold and value arithmetic stay scalar, as in ``sample()``.
+        """
         if self._num_updates == 0:
             return None
-        instance = self._instances[replica]
-        estimates = self._scaled_estimates()[replica]
-        magnitudes = np.abs(estimates)
-        if not np.any(magnitudes > 0):
+        candidates = self._candidate_arrays()
+        best = int(candidates.top[replica])
+        if best < 0:
             return None
-        order = np.argsort(-magnitudes)
-        best = int(order[0])
-        runner_up_magnitude = float(magnitudes[order[1]]) if self._n > 1 else 0.0
-        gap = float(magnitudes[best]) - runner_up_magnitude
+        instance = self._instances[replica]
+        gap = float(candidates.gap[replica])
 
         threshold = 0.0
         if instance._gap_test and not self._exact:
-            scale = self._ams.estimate_l2_member(replica)
+            scale = float(candidates.scale[replica])
             jitter = instance._rng.uniform(0.5, 1.5)
             threshold = (instance._gap_multiplier * jitter * scale
                          / math.sqrt(instance._buckets))
@@ -469,7 +558,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             metadata={
                 "gap": gap,
                 "gap_threshold": threshold,
-                "scaled_maximum": float(magnitudes[best]),
+                "scaled_maximum": abs(float(self._scaled_estimates()[replica, best])),
                 "exponential": float(instance._exponentials[best]),
             },
         )

@@ -224,6 +224,19 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         self._num_updates += int(indices.size)
         self._estimates_cache = None
 
+    def __getstate__(self):
+        """Pickle without the estimate cache; the next query recomputes it
+        from the sketch tables."""
+        state = self.__dict__.copy()
+        state["_estimates_cache"] = None
+        return state
+
+    def __setstate__(self, state):
+        """Restore with an empty estimate cache (also for snapshots that
+        kept it)."""
+        self.__dict__.update(state)
+        self._estimates_cache = None
+
     def sample_replica(self, replica: int) -> Optional[Sample]:
         """One-shot draw of replica ``replica`` (mirrors ``sample()``)."""
         if self._num_updates == 0:

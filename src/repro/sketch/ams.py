@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, SamplerStateError
 from repro.sketch.hashing import SignHashFamily
-from repro.utils.batching import BatchUpdateMixin, check_batch_bounds, coerce_batch
+from repro.utils.batching import (
+    BatchUpdateMixin,
+    check_batch_bounds,
+    coerce_batch,
+    median_of_rows,
+)
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.table_cache import resolve_table_block, resolve_table_mode
@@ -409,7 +414,19 @@ class AMSEnsemble(ReplicaEnsemble):
         counters = self._xp.to_numpy(self._counters)
         squares = counters[member] ** 2
         groups = squares.reshape(self._depth, self._width)
-        return float(np.median(groups.mean(axis=1)))
+        return float(median_of_rows(groups.mean(axis=1)))
+
+    def estimate_f2_members(self) -> np.ndarray:
+        """``(M,)`` median-of-means ``F_2`` estimates of every member.
+
+        One reshape, mean and median over ``(M, depth, width)``; each entry
+        equals :meth:`estimate_f2_member` of that member.
+        """
+        if not np.all(self._num_updates):
+            raise SamplerStateError("AMS sketch queried before any update")
+        squares = self._xp.to_numpy(self._counters) ** 2
+        groups = squares.reshape(self.num_members, self._depth, self._width)
+        return median_of_rows(groups.mean(axis=2), axis=1)
 
     def estimate_l2_member(self, member: int) -> float:
         """``||x||_2`` estimate of one member."""

@@ -42,6 +42,7 @@ from repro.utils.batching import (
     check_batch_bounds,
     coerce_batch,
     fused_bincount_add,
+    median_of_rows,
 )
 from repro.utils.ensemble import ReplicaEnsemble, member_chunks, register_ensemble
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
@@ -623,64 +624,76 @@ class CountSketchEnsemble(ReplicaEnsemble):
 
     def estimate_member(self, member: int, index: int) -> float:
         """Point query of one member (matches ``CountSketch.estimate``)."""
-        buckets, signs = self._host_columns(
-            member, member + 1, np.asarray([index], dtype=np.int64))
-        table = self._host_table()
-        rows = np.arange(self._rows)
-        values = signs[0, :, 0] * table[member, rows, buckets[0, :, 0]]
-        return float(np.median(values))
+        return float(self.estimate_at(np.asarray([member]), index)[0])
 
     def estimate_members_at(self, members: slice | np.ndarray,
                             index: int) -> np.ndarray:
         """Per-member point queries at one coordinate for a member range."""
-        buckets, signs = self._host_columns(
-            0, self.num_members, np.asarray([index], dtype=np.int64))
-        table = self._host_table()
-        signs = signs[:, :, 0][members]
-        buckets = buckets[:, :, 0][members]
-        rows = np.arange(self._rows)[None, :]
-        member_index = np.arange(self.num_members)[members, None]
-        values = signs * table[member_index, rows, buckets]
-        return np.median(values, axis=1)
+        return self.estimate_at(np.arange(self.num_members)[members], index)
+
+    def estimate_at(self, members: np.ndarray, keys) -> np.ndarray:
+        """Point query of member ``members[j]`` at coordinate ``keys[j]``.
+
+        ``keys`` may be one coordinate shared by every listed member.  Only
+        the ``len(members) * rows`` cells the queries read are touched:
+        gathered from the hash tables when this process has built them,
+        evaluated from the hash families otherwise (``blocked`` mode, or an
+        ensemble unpickled from a worker), never by building the tables.
+        """
+        members = np.asarray(members, dtype=np.int64)
+        keys = np.broadcast_to(np.asarray(keys, dtype=np.int64), members.shape)
+        cells = members[:, None] * self._rows + np.arange(self._rows)
+        if self._bucket_of is None:
+            buckets = self._bucket_family.hash_at(cells, keys[:, None])
+            signs = self._sign_family.sign_at(cells, keys[:, None])
+        else:
+            xp = self._xp
+            where = (xp.from_numpy(members[:, None]),
+                     xp.from_numpy(np.arange(self._rows)[None, :]),
+                     xp.from_numpy(keys[:, None]))
+            buckets = xp.to_numpy(self._bucket_of[where])
+            signs = xp.to_numpy(self._sign_of[where])
+        return self._signed_median(cells, buckets, signs)
+
+    def _signed_median(self, cells: np.ndarray, buckets: np.ndarray,
+                       signs: np.ndarray) -> np.ndarray:
+        """Median over rows (axis 1) of ``sign * table[cell, bucket]``.
+
+        ``cells`` numbers ``(member, row)`` pairs as ``member * rows + row``,
+        so one flat ``take`` reads every counter; the product is the one
+        ``CountSketch.estimate_all`` forms, so the median matches it.
+        """
+        values = self._host_table().reshape(-1).take(
+            cells * self._buckets + buckets)
+        values *= signs
+        return median_of_rows(values, axis=1)
+
+    def _estimate_all_range(self, start: int, stop: int) -> np.ndarray:
+        """``(stop - start, n)`` estimates of members ``[start, stop)``."""
+        cells = (np.arange(start, stop)[:, None] * self._rows
+                 + np.arange(self._rows))[:, :, None]
+        if self._table_mode == "blocked":
+            # The median is taken per coordinate, so a key-block sweep
+            # reproduces the monolithic result bitwise.
+            out = np.empty((stop - start, self._n), dtype=float)
+            for kstart in range(0, self._n, self._table_block):
+                kstop = min(self._n, kstart + self._table_block)
+                keys = np.arange(kstart, kstop, dtype=np.int64)
+                buckets, signs = self._host_columns(start, stop, keys)
+                out[:, kstart:kstop] = self._signed_median(cells, buckets, signs)
+            return out
+        self._ensure_tables()
+        return self._signed_median(
+            cells, self._xp.to_numpy(self._bucket_of[start:stop]),
+            self._xp.to_numpy(self._sign_of[start:stop]))
 
     def estimate_all_member(self, member: int) -> np.ndarray:
         """``estimate_all`` of one member (bit-identical to standalone)."""
-        table = self._host_table()
-        if self._table_mode == "blocked":
-            out = np.empty(self._n, dtype=float)
-            rows = np.arange(self._rows)[:, None]
-            for kstart in range(0, self._n, self._table_block):
-                kstop = min(self._n, kstart + self._table_block)
-                keys = np.arange(kstart, kstop, dtype=np.int64)
-                buckets, signs = self._host_columns(member, member + 1, keys)
-                values = signs[0] * table[member, rows, buckets[0]]
-                out[kstart:kstop] = np.median(values, axis=0)
-            return out
-        self._ensure_tables()
-        rows = np.arange(self._rows)[:, None]
-        values = (self._xp.to_numpy(self._sign_of[member])
-                  * table[member, rows, self._xp.to_numpy(self._bucket_of[member])])
-        return np.median(values, axis=0)
+        return self._estimate_all_range(member, member + 1)[0]
 
     def estimate_all_members(self) -> np.ndarray:
         """``(M, n)`` matrix of every member's point-query estimates."""
-        table = self._host_table()
-        rows = np.arange(self._rows)[None, :, None]
-        member_index = np.arange(self.num_members)[:, None, None]
-        if self._table_mode == "blocked":
-            out = np.empty((self.num_members, self._n), dtype=float)
-            for kstart in range(0, self._n, self._table_block):
-                kstop = min(self._n, kstart + self._table_block)
-                keys = np.arange(kstart, kstop, dtype=np.int64)
-                buckets, signs = self._host_columns(
-                    0, self.num_members, keys)
-                values = signs * table[member_index, rows, buckets]
-                out[:, kstart:kstop] = np.median(values, axis=1)
-            return out
-        self._ensure_tables()
-        values = (self._xp.to_numpy(self._sign_of)
-                  * table[member_index, rows, self._xp.to_numpy(self._bucket_of)])
-        return np.median(values, axis=1)
+        return self._estimate_all_range(0, self.num_members)
 
     def member_tables(self) -> np.ndarray:
         """The stacked ``(M, rows, buckets)`` tables (host-numpy view)."""

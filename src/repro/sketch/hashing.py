@@ -44,8 +44,10 @@ families share evaluated tables through the process-wide keyed cache in
   the ``(F, n)`` whole, and :meth:`KWiseHashFamily.hash_slice` /
   :meth:`SignHashFamily.sign_slice` evaluate a member sub-range at
   arbitrary keys — the primitives behind the consumers' ``blocked`` table
-  mode.  Because every ``(member, key)`` cell is computed independently,
-  any chunking (by member, by key, or both) is bit-identical to the
+  mode — and :meth:`KWiseHashFamily.hash_at` /
+  :meth:`SignHashFamily.sign_at` evaluate single ``(member, key)`` cells
+  for point queries.  Because every cell is computed independently, any
+  chunking (by member, by key, or cell by cell) is bit-identical to the
   monolithic evaluation.
 * Families pickle as coefficients only (a few hundred bytes); consumers
   drop their table references when pickled and re-derive them from the
@@ -59,7 +61,11 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.batching import MERSENNE_PRIME_61, polyval_mersenne
+from repro.utils.batching import (
+    MERSENNE_PRIME_61,
+    polyval_mersenne,
+    polyval_mersenne_at,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.table_cache import (
     cached_table,
@@ -309,6 +315,15 @@ class KWiseHashFamily:
             self._coefficients[int(start):int(stop)], self._range_size
         ).hash_all(keys)
 
+    def hash_at(self, members: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Member ``members[j]`` at key ``keys[j]`` (the two broadcast).
+
+        Point queries use it to evaluate only the cells they read; each
+        cell equals the same cell of :meth:`hash_all`.
+        """
+        values = polyval_mersenne_at(self._coefficients[members], keys)
+        return (values % np.uint64(self._range_size)).astype(np.int64)
+
     def hash_blocks(self, universe: int, block: int | None = None,
                     ) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Stream the full-universe table as ``(start, stop, chunk)`` triples.
@@ -407,6 +422,12 @@ class SignHashFamily:
     def sign_slice(self, start: int, stop: int, keys: np.ndarray) -> np.ndarray:
         """``sign_all(keys)`` restricted to members ``[start, stop)``."""
         bits = self._family.hash_slice(start, stop, keys)
+        return np.where(bits == 1, 1, -1).astype(np.int64)
+
+    def sign_at(self, members: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Sign of member ``members[j]`` at key ``keys[j]`` (see
+        :meth:`KWiseHashFamily.hash_at`)."""
+        bits = self._family.hash_at(members, keys)
         return np.where(bits == 1, 1, -1).astype(np.int64)
 
     def sign_blocks(self, universe: int, block: int | None = None,

@@ -27,6 +27,8 @@ Linear substrates override ``update_batch`` with genuinely vectorised numpy
 implementations (scatter-adds, matrix products, vectorised modular
 fingerprints); order-sensitive samplers (reservoirs, exponential races)
 keep the fallback, which is bit-identical to scalar replay by construction.
+The query side shares one kernel too: :func:`median_of_rows`, the exact
+median over a sketch's rows that every stacked point query ends in.
 
 The module deliberately imports nothing outside :mod:`numpy` and the
 exception hierarchy so that both the ``sketch`` and ``samplers`` packages
@@ -64,7 +66,9 @@ __all__ = [
     "mersenne_mulmod",
     "mersenne_powmod",
     "mersenne_reduce",
+    "median_of_rows",
     "polyval_mersenne",
+    "polyval_mersenne_at",
     "replay_stream",
     "deepest_levels",
     "route_subsampled_batch",
@@ -168,6 +172,34 @@ def mersenne_powmod(base: int, exponents: np.ndarray) -> np.ndarray:
     return result
 
 
+def _reduce_keys(keys: np.ndarray) -> np.ndarray:
+    """Integer keys reduced modulo the prime (Python-sign semantics)."""
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "u":
+        # Unsigned keys reduce in the uint64 domain; mixing uint64 with a
+        # signed modulus would silently promote to float64 and lose the
+        # low bits of large keys.
+        return keys.astype(np.uint64) % np.uint64(MERSENNE_PRIME_61)
+    if keys.dtype != np.int64:
+        keys = keys.astype(np.int64)
+    return np.mod(keys, np.int64(MERSENNE_PRIME_61)).astype(np.uint64)
+
+
+def _horner_mersenne(coefficients: np.ndarray, reduced: np.ndarray,
+                     shape: tuple) -> np.ndarray:
+    """Horner sweep of ``coefficients`` (``(..., k)``) at broadcast points."""
+    k = coefficients.shape[-1]
+    # Horner with deferred coefficient reduction: after adding a
+    # coefficient the accumulator is below 2^62, which mersenne_mulmod
+    # tolerates, so only one full reduction is needed at the end.
+    result = np.zeros(shape, dtype=np.uint64)
+    result += coefficients[..., k - 1]
+    for power in range(k - 2, -1, -1):
+        result = mersenne_mulmod(result, reduced)
+        result += coefficients[..., power]
+    return mersenne_reduce(result)
+
+
 def polyval_mersenne(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Evaluate stacked polynomials over ``GF(2^61 - 1)`` at integer points.
 
@@ -180,27 +212,64 @@ def polyval_mersenne(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
     tables at once.
     """
     coefficients = np.asarray(coefficients, dtype=np.uint64)
-    keys = np.asarray(keys)
-    if keys.dtype.kind == "u":
-        # Unsigned keys reduce in the uint64 domain; mixing uint64 with a
-        # signed modulus would silently promote to float64 and lose the
-        # low bits of large keys.
-        reduced = keys.astype(np.uint64) % np.uint64(MERSENNE_PRIME_61)
-    else:
-        if keys.dtype != np.int64:
-            keys = keys.astype(np.int64)
-        reduced = np.mod(keys, np.int64(MERSENNE_PRIME_61)).astype(np.uint64)
+    reduced = _reduce_keys(keys)
     lead_shape = coefficients.shape[:-1]
-    k = coefficients.shape[-1]
-    # Horner with deferred coefficient reduction: after adding a
-    # coefficient the accumulator is below 2^62, which mersenne_mulmod
-    # tolerates, so only one full reduction is needed at the end.
-    result = np.zeros(lead_shape + reduced.shape, dtype=np.uint64)
-    result += coefficients[..., k - 1, None]
-    for power in range(k - 2, -1, -1):
-        result = mersenne_mulmod(result, reduced)
-        result += coefficients[..., power, None]
-    return mersenne_reduce(result)
+    return _horner_mersenne(coefficients[..., None, :], reduced,
+                            lead_shape + reduced.shape)
+
+
+def polyval_mersenne_at(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Evaluate each stacked polynomial at its *own* point.
+
+    ``coefficients`` has shape ``S + (k,)`` and ``keys`` broadcasts against
+    ``S``; entry ``j`` of the result is polynomial ``j`` at ``keys[j]``.
+    The arithmetic is :func:`polyval_mersenne`'s, cell for cell, so a
+    point query can evaluate just the hash cells it reads.
+    """
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    reduced = _reduce_keys(keys)
+    return _horner_mersenne(
+        coefficients, reduced,
+        np.broadcast_shapes(coefficients.shape[:-1], reduced.shape))
+
+
+def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Elementwise median of three arrays."""
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+
+
+def median_of_rows(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``np.median(values, axis=axis)`` for the few rows of a sketch table.
+
+    Up to five rows, the median is picked by a compare-exchange network of
+    ``np.minimum``/``np.maximum`` across the rows axis: a handful of
+    elementwise passes instead of ``np.median``'s partition and mean.  The
+    network selects elements (an even count averages the middle two exactly
+    as ``np.median`` does), so the result equals ``np.median`` under
+    ``np.testing.assert_array_equal``: a NaN anywhere in a column reaches
+    its median through the min/max chain, and adding ``0.0`` returns a zero
+    median as ``+0.0`` like ``np.median``'s mean.  Other row counts call
+    ``np.median``.
+    """
+    values = np.asarray(values, dtype=float)
+    rows = values.shape[axis]
+    if not 1 <= rows <= 5:
+        return np.median(values, axis=axis)
+    v = np.moveaxis(values, axis, 0)
+    if rows == 1:
+        return v[0] + 0.0
+    if rows == 2:
+        return (v[0] + v[1] + 0.0) / 2
+    if rows == 3:
+        return _median3(v[0], v[1], v[2]) + 0.0
+    # The smallest and the largest of the first four values each have three
+    # values on one side, so neither is the median of four or five values:
+    # keep the middle two of the four, low <= high.
+    low = np.maximum(np.minimum(v[0], v[1]), np.minimum(v[2], v[3]))
+    high = np.minimum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    if rows == 4:
+        return (low + high + 0.0) / 2
+    return _median3(v[4], low, high) + 0.0
 
 
 def coerce_batch(indices, deltas) -> Tuple[np.ndarray, np.ndarray]:

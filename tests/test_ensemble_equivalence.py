@@ -112,6 +112,25 @@ def _jw18_state(kind):
     return solo if kind == "solo" else ens
 
 
+def _countsketch_solo_queries(inst) -> np.ndarray:
+    """``estimate_all`` and point queries, once per ensemble method below."""
+    every = inst.estimate_all()
+    points = [inst.estimate(index) for index in range(N)]
+    return np.stack([every, every, points, points, points])
+
+
+def _countsketch_ensemble_queries(ens, r) -> np.ndarray:
+    """Every ensemble query path answered for member ``r``."""
+    return np.stack([
+        ens.estimate_all_member(r),
+        ens.estimate_all_members()[r],
+        [ens.estimate_members_at(slice(r, None), index)[0] for index in range(N)],
+        [ens.estimate_members_at(np.asarray([0, r]), index)[1]
+         for index in range(N)],
+        [ens.estimate_member(r, index) for index in range(N)],
+    ])
+
+
 CASES = [
     Case(
         "countsketch",
@@ -119,8 +138,8 @@ CASES = [
         CountSketchEnsemble,
         lambda inst: {"table": inst._table},
         lambda ens, r: {"table": ens._table[r]},
-        lambda inst: inst.estimate_all(),
-        lambda ens, r: ens.estimate_all_member(r),
+        _countsketch_solo_queries,
+        _countsketch_ensemble_queries,
     ),
     Case(
         "ams",
@@ -128,8 +147,8 @@ CASES = [
         AMSEnsemble,
         lambda inst: {"counters": inst._counters},
         lambda ens, r: {"counters": ens._counters[r]},
-        lambda inst: inst.estimate_f2(),
-        lambda ens, r: ens.estimate_f2_member(r),
+        lambda inst: [inst.estimate_f2()] * 2,
+        lambda ens, r: [ens.estimate_f2_member(r), ens.estimate_f2_members()[r]],
     ),
     Case(
         "pstable-cauchy",
