@@ -99,6 +99,7 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
             ])
             self._scaled_vectors = None
         self._num_updates = 0
+        self._estimate_memo: float | None = None
 
     @property
     def repetitions(self) -> int:
@@ -122,6 +123,7 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
             self._sketch_ensemble.update_batch(
                 np.asarray([index], dtype=np.int64), scaled_deltas[:, None])
         self._num_updates += 1
+        self._estimate_memo = None
 
     def update_batch(self, indices, deltas) -> None:
         """Apply a whole batch, vectorised across all repetitions at once."""
@@ -137,6 +139,19 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
         else:
             self._sketch_ensemble.update_batch(indices, scaled)
         self._num_updates += int(indices.size)
+        self._estimate_memo = None
+
+    def __getstate__(self):
+        """Pickle without the estimate memo, so a snapshot's bytes depend
+        only on the stream state; the next query recomputes it."""
+        state = self.__dict__.copy()
+        del state["_estimate_memo"]
+        return state
+
+    def __setstate__(self, state):
+        """Restore with no memo (also for pickles written before it existed)."""
+        self.__dict__.update(state)
+        self._estimate_memo = None
 
     def _maximum_scaled_magnitudes(self) -> np.ndarray:
         """Per-repetition recovered maxima ``max_i |z^{(r)}_i|``."""
@@ -146,7 +161,19 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
         return np.max(np.abs(estimates), axis=1)
 
     def estimate(self) -> float:
-        """The unbiased estimate ``F̂_p = (k - 1) / sum_j M_j^{-1}``."""
+        """The unbiased estimate ``F̂_p = (k - 1) / sum_j M_j^{-1}``.
+
+        Computed once per ingest state and reused until the state changes:
+        :meth:`update` and :meth:`update_batch` (and so ``update_stream``)
+        drop the memo, as do :meth:`FpEstimatorEnsemble.update_batch` and
+        :meth:`FpEstimatorEnsemble.merge` in sketch mode.  The estimate
+        draws no randomness, so the memo changes no returned value.
+        """
+        if self._estimate_memo is None:
+            self._estimate_memo = self._compute_estimate()
+        return self._estimate_memo
+
+    def _compute_estimate(self) -> float:
         if self._num_updates == 0:
             raise SamplerStateError("Fp estimator queried before any update")
         maxima = self._maximum_scaled_magnitudes()
@@ -168,10 +195,11 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
     In oracle (``exact_recovery``) mode — the mode distribution-level
     experiments replicate by the hundreds — the ``R * repetitions`` scaled
     vectors live in one ``(R, repetitions, n)`` array and every batch lands
-    in all of them with a single scatter-add.  In sketch mode the batch is
-    validated once and each replica applies its (already fused, one
-    scatter per batch) inner CountSketch ensemble; state then remains
-    inside the replica instances exactly as in the standalone path.
+    in all of them with a single scatter-add.  In sketch mode each replica
+    ingests the batch through its own ``update_batch`` (one fused scatter
+    into its inner CountSketch ensemble), so state remains inside the
+    replica instances exactly as in the standalone path, and each replica
+    keeps its once-per-ingest-state estimate memo.
     """
 
     def __init__(self, instances, *, config=None) -> None:
@@ -244,6 +272,7 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         for mine, theirs in zip(self._instances, other._instances):
             mine._sketch_ensemble.merge(theirs._sketch_ensemble)
             mine._num_updates += theirs._num_updates
+            mine._estimate_memo = None
         return self
 
     def check_mergeable(self, other: "FpEstimatorEnsemble") -> None:
@@ -296,12 +325,14 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
             self._num_updates += int(indices.size)
         else:
             for instance in self._instances:
-                scaled = deltas * instance._inverse_scales[:, indices]
-                instance._sketch_ensemble.update_batch(indices, scaled)
-                instance._num_updates += int(indices.size)
+                instance.update_batch(indices, deltas)
 
     def estimate_replica(self, replica: int) -> float:
-        """The unbiased ``F̂_p`` estimate of one replica."""
+        """The unbiased ``F̂_p`` estimate of one replica.
+
+        Sketch mode returns the replica's memoised estimate; oracle mode
+        recomputes it from the stacked scaled vectors.
+        """
         if not self._exact:
             return self._instances[replica].estimate()
         if self._num_updates[replica] == 0:
@@ -328,6 +359,11 @@ class FpEstimator(BatchUpdateMixin):
     instances: each group is within a factor 2 of ``F_p`` with probability
     at least 3/4 (Chebyshev with the ``1/(k-2)`` relative variance), so the
     median is a 2-approximation with probability ``1 - exp(-Omega(groups))``.
+
+    Each group computes its estimate once per ingest state (see
+    :meth:`MaxStabilityFpEstimator.estimate`), so repeated :meth:`estimate`
+    calls between updates cost only the median; :meth:`update`,
+    :meth:`update_batch` and ``update_stream`` drop every group's memo.
 
     Parameters
     ----------

@@ -13,6 +13,7 @@ from repro.applications import (
 )
 from repro.exceptions import InvalidParameterError, SamplerStateError
 from repro.samplers import ExactLpSampler
+from repro.sketch import FpEstimator
 from repro.streams import stream_from_vector, zipfian_frequency_vector
 from repro.utils.stats import total_variation_distance
 
@@ -189,3 +190,41 @@ class TestDistributedSamplingCoordinator:
     def test_space_counters_positive(self):
         coordinator = self.build(8)
         assert coordinator.space_counters() > 0
+
+    @pytest.mark.parametrize("ingest", ["update_batch", "update"])
+    def test_shard_weights_refresh_after_ingest(self, ingest):
+        # The F_p estimators memoise their estimate per ingest state; a
+        # coordinator queried mid-stream must weight its shards exactly as
+        # one that only ever saw the whole stream.
+        n = 64
+        stream = stream_from_vector(zipfian_frequency_vector(n, seed=20), seed=21)
+        half = len(stream) // 2
+        halves = [(stream.indices[:half], stream.deltas[:half]),
+                  (stream.indices[half:], stream.deltas[half:])]
+
+        def build():
+            return DistributedSamplingCoordinator(
+                n, 3,
+                lambda shard, seed_value: ExactLpSampler(n, 3.0, seed=seed_value),
+                lambda shard, seed_value: FpEstimator(
+                    n, 3.0, groups=3, repetitions_per_group=10, seed=seed_value),
+                seed=22)
+
+        def feed(coordinator, indices, deltas):
+            if ingest == "update_batch":
+                coordinator.update_batch(indices, deltas)
+            else:
+                for index, delta in zip(indices.tolist(), deltas.tolist()):
+                    coordinator.update(index, delta)
+
+        queried, fresh = build(), build()
+        feed(queried, *halves[0])
+        for _ in range(3):
+            queried.sample()
+        stale = queried.shard_weights()
+        feed(queried, *halves[1])
+        for indices, deltas in halves:
+            feed(fresh, indices, deltas)
+        expected = fresh.shard_weights()
+        assert expected.tobytes() != stale.tobytes()
+        assert queried.shard_weights().tobytes() == expected.tobytes()

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError, SamplerStateError
-from repro.sketch.fp_estimator import FpEstimator, MaxStabilityFpEstimator
+from repro.sketch.countsketch import CountSketchEnsemble
+from repro.sketch.fp_estimator import (
+    FpEstimator,
+    FpEstimatorEnsemble,
+    MaxStabilityFpEstimator,
+)
 from repro.streams.generators import stream_from_vector, zipfian_frequency_vector
+from repro.streams.stream import TurnstileStream
+from repro.utils.snapshot import snapshot_bytes
 
 
 def exact_fp(vector: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(vector) ** p))
+
+
+def bits(value: float) -> str:
+    """Exact bit pattern of an estimate, for bitwise comparisons."""
+    return float(value).hex()
 
 
 class TestMaxStabilityFpEstimator:
@@ -115,3 +129,139 @@ class TestFpEstimator:
     def test_space_counters(self):
         estimator = FpEstimator(16, 3.0, groups=3, repetitions_per_group=5, seed=2)
         assert estimator.space_counters() > 0
+
+
+MEMO_N = 48
+
+
+def memo_stream(seed: int) -> TurnstileStream:
+    return stream_from_vector(zipfian_frequency_vector(MEMO_N, seed=seed),
+                              seed=seed + 1)
+
+
+MUTATIONS = {
+    "update": lambda estimator: estimator.update(7, 3.5),
+    "update_batch": lambda estimator: estimator.update_batch(
+        [1, 7, 7, 30], [2.0, -1.5, 4.0, 9.0]),
+    "update_stream": lambda estimator: estimator.update_stream(memo_stream(40)),
+}
+
+
+@pytest.fixture
+def member_estimate_calls(monkeypatch):
+    """Record every ``CountSketchEnsemble.estimate_all_members`` call."""
+    calls = []
+    original = CountSketchEnsemble.estimate_all_members
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CountSketchEnsemble, "estimate_all_members", counted)
+    return calls
+
+
+def memo_ensemble(exact_recovery: bool, stream) -> FpEstimatorEnsemble:
+    ensemble = FpEstimatorEnsemble([
+        MaxStabilityFpEstimator(MEMO_N, 3.0, repetitions=10, seed=seed,
+                                exact_recovery=exact_recovery)
+        for seed in (11, 12, 13)
+    ])
+    ensemble.update_stream(stream)
+    return ensemble
+
+
+def replica_bits(ensemble: FpEstimatorEnsemble) -> list[str]:
+    return [bits(ensemble.estimate_replica(replica))
+            for replica in range(ensemble.num_replicas)]
+
+
+class TestEstimateMemo:
+    """``F̂_p`` is computed once per ingest state and dropped on every change.
+
+    Freshness is checked against an identically seeded twin that received
+    the same mutations and was never queried: the queried estimator must
+    answer bit-for-bit what the twin's first query computes.
+    """
+
+    def test_repeated_estimate_reuses_the_memo(self, member_estimate_calls):
+        estimator = MaxStabilityFpEstimator(MEMO_N, 3.0, repetitions=10, seed=1)
+        estimator.update_stream(memo_stream(2))
+        first = estimator.estimate()
+        assert len(member_estimate_calls) == 1
+        assert bits(estimator.estimate()) == bits(first)
+        assert len(member_estimate_calls) == 1
+
+    def test_median_of_groups_computes_once_per_group(self, member_estimate_calls):
+        estimator = FpEstimator(MEMO_N, 3.0, groups=5, repetitions_per_group=10,
+                                seed=3)
+        estimator.update_stream(memo_stream(4))
+        first = estimator.estimate()
+        assert len(member_estimate_calls) == 5
+        for _ in range(3):
+            assert bits(estimator.estimate()) == bits(first)
+        assert len(member_estimate_calls) == 5
+
+    @pytest.mark.parametrize("exact_recovery", [False, True], ids=["sketch", "exact"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_drops_the_memo(self, mutation, exact_recovery):
+        def build():
+            estimator = MaxStabilityFpEstimator(MEMO_N, 3.0, repetitions=10,
+                                                seed=5, exact_recovery=exact_recovery)
+            estimator.update_stream(memo_stream(6))
+            return estimator
+
+        queried, twin = build(), build()
+        stale = queried.estimate()
+        MUTATIONS[mutation](queried)
+        MUTATIONS[mutation](twin)
+        fresh = twin.estimate()
+        assert bits(fresh) != bits(stale)
+        assert bits(queried.estimate()) == bits(fresh)
+
+    @pytest.mark.parametrize("exact_recovery", [False, True], ids=["sketch", "exact"])
+    def test_ensemble_update_batch_drops_the_memo(self, exact_recovery):
+        queried = memo_ensemble(exact_recovery, memo_stream(14))
+        twin = memo_ensemble(exact_recovery, memo_stream(14))
+        stale = replica_bits(queried)
+        extra = memo_stream(15)
+        queried.update_batch(extra.indices, extra.deltas)
+        twin.update_batch(extra.indices, extra.deltas)
+        fresh = replica_bits(twin)
+        assert all(new != old for new, old in zip(fresh, stale))
+        assert replica_bits(queried) == fresh
+
+    @pytest.mark.parametrize("exact_recovery", [False, True], ids=["sketch", "exact"])
+    def test_ensemble_merge_drops_the_memo(self, exact_recovery):
+        queried = memo_ensemble(exact_recovery, memo_stream(16))
+        twin = memo_ensemble(exact_recovery, memo_stream(16))
+        stale = replica_bits(queried)
+        queried.merge(memo_ensemble(exact_recovery, memo_stream(17)))
+        twin.merge(memo_ensemble(exact_recovery, memo_stream(17)))
+        fresh = replica_bits(twin)
+        assert all(new != old for new, old in zip(fresh, stale))
+        assert replica_bits(queried) == fresh
+
+    @pytest.mark.parametrize("estimator_cls", [MaxStabilityFpEstimator, FpEstimator])
+    def test_snapshot_bytes_do_not_depend_on_queries(self, estimator_cls):
+        estimator = estimator_cls(MEMO_N, 3.0, seed=18)
+        estimator.update_stream(memo_stream(19))
+        before = snapshot_bytes(estimator)
+        estimator.estimate()
+        assert snapshot_bytes(estimator) == before
+
+    @pytest.mark.parametrize("exact_recovery", [False, True], ids=["sketch", "exact"])
+    def test_state_without_memo_field_restores(self, exact_recovery):
+        original = MaxStabilityFpEstimator(MEMO_N, 3.0, repetitions=10, seed=20,
+                                           exact_recovery=exact_recovery)
+        original.update_stream(memo_stream(21))
+        expected = original.estimate()
+        # Estimators pickled before the memo existed carry exactly this
+        # state: every attribute except the memo.
+        state = pickle.loads(pickle.dumps(
+            {key: value for key, value in vars(original).items()
+             if key != "_estimate_memo"}))
+        restored = MaxStabilityFpEstimator.__new__(MaxStabilityFpEstimator)
+        restored.__setstate__(state)
+        assert bits(restored.estimate()) == bits(expected)
+        assert b"_estimate_memo" not in pickle.dumps(original)
