@@ -18,6 +18,7 @@ from _harness import EXPERIMENT_SEED, print_rows
 from repro.applications import DistributedSamplingCoordinator
 from repro.samplers import ExactLpSampler
 from repro.streams import stream_from_vector, zipfian_frequency_vector
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.stats import expected_tvd_noise_floor, total_variation_distance
 
 
@@ -115,7 +116,8 @@ def run_bulk_experiment(n: int = 48, p: float = 3.0, draws: int = 600):
         # serves the exact same draw sequence (execution is a pure
         # wall-clock knob at every layer).
         threaded = build_coordinator(num_shards).bulk_samples(
-            stream, draws, execution="threaded", processes=2)
+            stream, draws,
+            config=ExecutionConfig(execution="threaded", processes=2))
         assert len(threaded) == len(samples)
         for left, right in zip(samples, threaded):
             assert (left is None) == (right is None)

@@ -66,6 +66,7 @@ from repro.sketch.pstable import PStableSketch
 from repro.streams.generators import stream_from_vector, zipfian_frequency_vector
 from repro.streams.stream import TurnstileStream
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import replica_sharded_ensemble, usable_cpu_count
 from repro.utils.table_cache import cache_clear, table_mode
 
@@ -310,8 +311,9 @@ def run_sharded_execution():
             ensemble.update_stream(stream)
         else:
             ensemble = replica_sharded_ensemble(
-                instances, stream, num_shards=workers, execution=mode,
-                processes=workers)
+                instances, stream,
+                config=ExecutionConfig(num_shards=workers, execution=mode,
+                                       processes=workers))
         results = np.asarray([query(ensemble, r) for r in range(draws)])
         return time.perf_counter() - start, results
 
@@ -430,8 +432,9 @@ def run_distributed_execution():
         instances = [factory(seed) for seed in range(draws)]
         start = time.perf_counter()
         ensemble = replica_sharded_ensemble(
-            instances, stream, num_shards=workers, execution=mode,
-            processes=workers)
+            instances, stream,
+            config=ExecutionConfig(num_shards=workers, execution=mode,
+                                   processes=workers))
         results = np.asarray([query(ensemble, r) for r in range(draws)])
         return time.perf_counter() - start, results
 
@@ -776,91 +779,3 @@ def test_e9c_ensemble_draw_throughput(benchmark):
         if row[1] in ("countsketch", "p-stable"):
             assert row[7] >= floor, (
                 f"{row[0]} ensemble speedup {row[7]}x below {floor}x")
-
-
-def run_backend_comparison():
-    """E9g: array-backend ingest — numpy reference vs torch CPU.
-
-    Drives the same CountSketch replica ensemble through the pluggable
-    :class:`~repro.utils.backend.ArrayBackend` layer under both backends
-    and records per-backend ingest wall-clock plus the
-    ``overhead_vs_numpy`` ratio tracked by the regression gate.  The
-    numpy row is recorded *always* — ``overhead_vs_numpy = 1.0`` by
-    construction, anchoring the section so the gate has a shared row
-    even against torch-less baselines — and the torch row is appended
-    only when torch is importable (the committed baseline comes from a
-    torch-less builder; the CI optional-dependency job adds the torch
-    measurement without failing the gate, which skips rows absent from
-    either side).  Estimates are cross-checked to the numpy reference
-    (statistical-equivalence contract, tight CPU tolerance) whenever
-    the torch row is measured.
-    """
-    from repro.utils.backend import available_backends
-    from repro.utils.execution_config import ExecutionConfig
-
-    n = 2_000 if QUICK_MODE else 20_000
-    draws = 8 if QUICK_MODE else 32
-    num_updates = 4_000 if QUICK_MODE else 40_000
-    rng = np.random.default_rng(EXPERIMENT_SEED + 31)
-    indices = rng.integers(0, n, size=num_updates)
-    deltas = rng.choice(np.asarray([-2.0, -1.0, 1.0, 2.0, 3.0]),
-                        size=num_updates)
-    stream = TurnstileStream.from_arrays(n, indices, deltas)
-
-    def timed(config):
-        instances = [CountSketch(n, 32, 5, seed=s) for s in range(draws)]
-        ensemble = build_ensemble(instances, config)
-        start = time.perf_counter()
-        ensemble.update_stream(stream)
-        return time.perf_counter() - start, ensemble
-
-    numpy_seconds, numpy_ensemble = timed(ExecutionConfig(backend="numpy"))
-    rows = [{
-        "case": "countsketch_ensemble_numpy",
-        "backend": "numpy",
-        "draws": draws,
-        "stream_length": num_updates,
-        "ingest_seconds": numpy_seconds,
-        "overhead_vs_numpy": 1.0,
-    }]
-    if "torch" in available_backends():
-        torch_seconds, torch_ensemble = timed(
-            ExecutionConfig(backend="torch", device="cpu"))
-        np.testing.assert_allclose(
-            np.asarray(torch_ensemble.estimate_all_members()),
-            np.asarray(numpy_ensemble.estimate_all_members()),
-            rtol=1e-9, atol=1e-9)
-        rows.append({
-            "case": "countsketch_ensemble_torch_cpu",
-            "backend": "torch",
-            "device": "cpu",
-            "draws": draws,
-            "stream_length": num_updates,
-            "ingest_seconds": torch_seconds,
-            "overhead_vs_numpy": torch_seconds / numpy_seconds,
-        })
-    _BENCH_PAYLOAD["backend_comparison"] = rows
-    _flush_bench_json()
-    return rows
-
-
-def test_e9g_backend_comparison(benchmark):
-    rows = benchmark.pedantic(run_backend_comparison, rounds=1, iterations=1)
-    print_rows(
-        "E9g: array-backend ingest (CountSketch ensemble; numpy reference)",
-        ["case", "backend", "draws", "stream", "ingest s",
-         "overhead vs numpy"],
-        [[row["case"], row["backend"], row["draws"], row["stream_length"],
-          round(row["ingest_seconds"], 4), round(row["overhead_vs_numpy"], 3)]
-         for row in rows],
-    )
-    # The numpy row anchors the section: the ratio is 1.0 by definition,
-    # and its presence keeps the regression gate's section non-empty on
-    # torch-less builders.
-    assert rows[0]["backend"] == "numpy"
-    assert rows[0]["overhead_vs_numpy"] == 1.0
-    # When torch was measured, its CPU ingest must stay within an order
-    # of magnitude of numpy (catches accidental per-update host<->device
-    # round-trips, which cost 100x, while tolerating slow builders).
-    for row in rows[1:]:
-        assert row["overhead_vs_numpy"] < 10.0, row

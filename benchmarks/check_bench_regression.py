@@ -66,12 +66,6 @@ TRACKED_METRICS = [
     # committed full-mode baseline.  Guards the socket/pickle/asyncio
     # wrapper against protocol or serialization regressions.
     ("service_load", "case", "overhead_vs_direct_ingest"),
-    # E9g: per-backend ingest cost of the pluggable array-backend layer
-    # *relative to* the numpy reference measured in the same run — a
-    # ratio, so builder speed cancels.  The numpy anchor row is pinned
-    # at 1.0; a routing regression (e.g. an accidental per-batch
-    # host<->device copy or a de-fused scatter) moves the torch row.
-    ("backend_comparison", "case", "overhead_vs_numpy"),
 ]
 
 DEFAULT_FACTOR = 1.5

@@ -83,29 +83,29 @@ allowlisted queries, periodic checkpoints, restore-on-start after a
 crash (see ``repro/service/sampler_service.py`` for the consistency
 model and deployment posture).
 
-Execution config and pluggable array backends
----------------------------------------------
-Every execution knob — array backend and device, hash-table mode,
-execution mode, shard/worker counts — rides on one frozen
-:class:`~repro.utils.execution_config.ExecutionConfig`, threaded through
-``build_ensemble``, ``ingest_sharded``, ``evaluate_sampler_distribution``
-and the service (the old per-call kwargs remain as deprecated aliases).
-The ensemble kernels allocate, scatter, and reduce through an
-:class:`~repro.utils.backend.ArrayBackend`: the default ``numpy`` backend
-is bit-identical to the historical code, and the optional ``torch``
-backend (CPU or GPU, never imported unless requested) is held to
-statistical equivalence (``tests/test_backend_equivalence.py``).
+Execution config
+----------------
+Every execution knob — hash-table mode, execution mode, shard/worker
+counts, worker addresses, cluster secret — rides on one frozen
+:class:`~repro.utils.execution_config.ExecutionConfig`, passed as
+``config=`` to ``ensemble_samples``, the sharding helpers,
+``evaluate_sampler_distribution``, the distributed coordinator's
+``bulk_samples`` and the service.  Every execution mode runs the same
+numpy kernels over the same batches, so the draws never depend on it:
 
->>> from repro import ExecutionConfig, available_backends, get_backend
->>> get_backend("numpy").name
-'numpy'
->>> "numpy" in available_backends()
+>>> from repro import ExecutionConfig, ensemble_samples, sharded_ensemble_samples
+>>> def make(seed):
+...     return PerfectLpSampler(5, p=3.0, seed=seed, backend="oracle")
+>>> replay = stream_from_vector(vector, seed=1)
+>>> serial = ensemble_samples(make, range(6), replay)
+>>> config = ExecutionConfig(execution="threaded", num_shards=2)
+>>> sharded = sharded_ensemble_samples(make, range(6), replay, config=config)
+>>> [s and s.index for s in serial] == [s and s.index for s in sharded]
 True
->>> ExecutionConfig().backend            # numpy is always the default
-'numpy'
 
-See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
-experiment suite indexed in DESIGN.md and EXPERIMENTS.md.
+See ``examples/`` for end-to-end scenarios, ``benchmarks/`` for the
+experiment suite, and ``perfbench/README.md`` for the end-to-end
+benchmark with its per-layer breakdown.
 """
 
 from repro.exceptions import (
@@ -166,14 +166,6 @@ from repro.functions import (
     SoftCapFunction,
     SoftConcaveSublinearFunction,
     SupportFunction,
-)
-from repro.utils.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
 )
 from repro.utils.execution_config import ExecutionConfig
 from repro.utils.ensemble import (
@@ -285,42 +277,6 @@ from repro.evaluation import (
 
 __version__ = "1.0.0"
 
-#: Top-level names kept importable for compatibility but deprecated in
-#: favour of :class:`ExecutionConfig`: ``name -> (home module, replacement)``.
-#: They still resolve (module ``__getattr__``, PEP 562) and still live in
-#: ``__all__`` — the public surface is stable — but touching them through
-#: ``repro.<name>`` emits a :class:`DeprecationWarning` pointing at the
-#: config-first spelling.
-_DEPRECATED_TOP_LEVEL = {
-    "set_default_workers": (
-        "repro.utils.coordinator",
-        "ExecutionConfig(workers=...).apply_defaults() or "
-        "repro.utils.coordinator.set_default_workers"),
-    "set_default_table_mode": (
-        "repro.utils.table_cache",
-        "ExecutionConfig(table_mode=...).apply_defaults() or "
-        "repro.utils.table_cache.set_default_table_mode"),
-    "default_table_mode": (
-        "repro.utils.table_cache",
-        "repro.utils.table_cache.default_table_mode"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, replacement = _DEPRECATED_TOP_LEVEL[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(module_name), name)
-
-
 __all__ = [
     # exceptions
     "ReproError",
@@ -359,14 +315,8 @@ __all__ = [
     "SamplerEnsemble",
     "build_ensemble",
     "ensemble_samples",
-    # execution config + pluggable array backends
+    # execution config
     "ExecutionConfig",
-    "ArrayBackend",
-    "NumpyBackend",
-    "BackendUnavailableError",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "concat_ensembles",
     "merge_ensembles",
     "replica_sharded_ensemble",
@@ -383,7 +333,6 @@ __all__ = [
     "Fault",
     "distributed_ingest",
     "last_gather_stats",
-    "set_default_workers",
     "spawn_local_workers",
     "stop_local_workers",
     "worker_pool",
@@ -404,9 +353,7 @@ __all__ = [
     "cache_budget",
     "cache_clear",
     "cache_stats",
-    "default_table_mode",
     "set_cache_budget",
-    "set_default_table_mode",
     "table_mode",
     "RandomBucketCountSketch",
     "CountMin",

@@ -34,8 +34,7 @@ from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, co
 from repro.streams.stream import TurnstileStream
 from repro.streams.updates import StreamKind
 from repro.utils.ensemble import build_ensemble
-from repro.utils.execution_config import (ExecutionConfig, _MISSING,
-                                          resolve_legacy_kwarg)
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng, splitmix64
 from repro.utils.sharding import ingest_sharded
 from repro.utils.validation import require_positive_int
@@ -231,8 +230,6 @@ class DistributedSamplingCoordinator(BatchUpdateMixin):
 
     def bulk_samples(self, stream: TurnstileStream, num_draws: int, *,
                      config: Optional[ExecutionConfig] = None,
-                     execution=_MISSING,
-                     processes=_MISSING,
                      batch_size: Optional[int] = None) -> list[Optional[Sample]]:
         """Ensemble-backed bulk path: many one-shot global draws at once.
 
@@ -245,9 +242,10 @@ class DistributedSamplingCoordinator(BatchUpdateMixin):
         replica set is independent of how draws land) into the sampler's
         registered native ensemble, and the shard sub-streams of ``stream``
         are ingested once through the sharded execution layer
-        (``execution`` is ``serial``; ``threaded`` — an in-process thread
-        pool with zero pickling; ``multiprocessing``; or ``distributed`` —
-        socket worker hosts behind the scatter/gather coordinator of
+        (``config.execution`` is ``serial``; ``threaded`` — an in-process
+        thread pool with zero pickling; ``multiprocessing``; or
+        ``distributed`` — socket worker hosts behind the scatter/gather
+        coordinator of
         :mod:`repro.utils.coordinator`, the literal Section 1.3 picture of
         machines working in parallel, dead-worker re-dispatch included).
         Only
@@ -259,13 +257,6 @@ class DistributedSamplingCoordinator(BatchUpdateMixin):
         must be that same global stream.
         """
         require_positive_int(num_draws, "num_draws")
-        cfg = ExecutionConfig() if config is None else config
-        execution = resolve_legacy_kwarg(
-            execution, "execution", "execution=...", cfg.execution)
-        processes = resolve_legacy_kwarg(
-            processes, "processes", "processes=...", cfg.processes)
-        if batch_size is None:
-            batch_size = cfg.batch_size
         weights = self.shard_weights()
         choices = self._rng.choice(self._num_shards, size=num_draws,
                                    p=weights).tolist()
@@ -279,13 +270,12 @@ class DistributedSamplingCoordinator(BatchUpdateMixin):
                 self._sampler_factory(
                     shard, derive_seed(self._bulk_seed, shard, draw))
                 for draw in draws_of_shard[shard]
-            ], config)
+            ])
             for shard in active
         ]
         ensembles = ingest_sharded(
             ensembles, [substreams[shard] for shard in active],
-            config=cfg.replace(execution=execution, processes=processes,
-                               batch_size=batch_size))
+            config=config, batch_size=batch_size)
         ensemble_of_shard = dict(zip(active, ensembles))
         position = {draw: pos for draws in draws_of_shard.values()
                     for pos, draw in enumerate(draws)}

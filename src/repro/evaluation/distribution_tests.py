@@ -30,8 +30,7 @@ from repro.exceptions import InvalidParameterError
 from repro.samplers.base import Sample
 from repro.streams.stream import TurnstileStream
 from repro.utils.ensemble import ensemble_samples
-from repro.utils.execution_config import (ExecutionConfig, _MISSING,
-                                          resolve_legacy_kwarg)
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import sharded_ensemble_samples
 from repro.utils.stats import (
     chi_square_statistic,
@@ -233,9 +232,6 @@ def evaluate_sampler_distribution(
     max_attempts_per_draw: int = 4,
     reuse_sampler: bool = False,
     config: Optional[ExecutionConfig] = None,
-    execution=_MISSING,
-    num_shards=_MISSING,
-    processes=_MISSING,
     failure_rate_prior: float = 0.0,
 ) -> DistributionReport:
     """Measure a sampler family's empirical distribution against a target.
@@ -262,26 +258,20 @@ def evaluate_sampler_distribution(
         nature of the paper's samplers.
     config:
         An :class:`~repro.utils.execution_config.ExecutionConfig`
-        bundling the execution knobs (backend/device, table mode,
-        execution mode, shard/worker counts).  The per-call
-        ``execution``/``num_shards``/``processes`` kwargs below remain
-        as deprecated aliases and win when passed explicitly.
-    execution:
-        ``"serial"`` (the default) runs the monolithic replica-ensemble
-        engine; ``"sharded"`` splits each round's replicas across
-        ``num_shards`` shard ensembles executed in-process one after
-        another; ``"threaded"`` drives those shards from an in-process
-        thread pool (zero pickling — the shard kernels release the GIL);
-        ``"multiprocessing"`` executes them in worker processes; and
+        bundling the execution knobs.  ``execution="serial"`` (the
+        default) runs the monolithic replica-ensemble engine; every other
+        mode splits each round's replicas across ``num_shards`` shard
+        ensembles (defaults: ``processes``, else the affinity-aware usable
+        CPU count) through
+        :func:`~repro.utils.sharding.sharded_ensemble_samples`:
+        ``"threaded"`` drives them from an in-process thread pool (zero
+        pickling — the shard kernels release the GIL),
+        ``"multiprocessing"`` executes them in worker processes, and
         ``"distributed"`` ships them to socket worker hosts through the
-        scatter/gather coordinator (worker addresses come from
-        :mod:`repro.utils.coordinator`'s registry; with none reachable the
-        run degrades to serial).  Replica sharding is bit-identical to the
-        monolithic engine, so the report is draw-for-draw independent of
-        this knob — it is purely a wall-clock/parallelism choice.
-    num_shards, processes:
-        Shard and worker counts for the non-serial modes (defaults: the
-        worker count, else the affinity-aware usable CPU count).
+        scatter/gather coordinator (with none reachable the run degrades
+        to serial).  Replica sharding is bit-identical to the monolithic
+        engine, so the report is draw-for-draw independent of the
+        execution mode — it is purely a wall-clock/parallelism choice.
     failure_rate_prior:
         Pre-seeds the retry engine's failure-rate EWMA (see
         :func:`overprovisioned_draws`) so the first round already carries
@@ -290,27 +280,13 @@ def evaluate_sampler_distribution(
     """
     require_positive_int(num_draws, "num_draws")
     cfg = ExecutionConfig() if config is None else config
-    execution = resolve_legacy_kwarg(
-        execution, "execution", "execution=...", cfg.execution)
-    num_shards = resolve_legacy_kwarg(
-        num_shards, "num_shards", "num_shards=...", cfg.num_shards)
-    processes = resolve_legacy_kwarg(
-        processes, "processes", "processes=...", cfg.processes)
-    if execution not in ("serial", "sharded", "threaded", "multiprocessing",
-                         "distributed"):
-        raise InvalidParameterError(
-            "execution must be one of ('serial', 'sharded', 'threaded', "
-            f"'multiprocessing', 'distributed'), got {execution!r}")
 
     def draw_samples(seeds: Sequence[int]) -> list:
-        if execution == "serial":
+        if cfg.execution == "serial":
             return ensemble_samples(sampler_factory, seeds, stream,
                                     config=config)
-        shard_execution = "serial" if execution == "sharded" else execution
-        return sharded_ensemble_samples(
-            sampler_factory, seeds, stream,
-            config=cfg.replace(execution=shard_execution,
-                               num_shards=num_shards, processes=processes))
+        return sharded_ensemble_samples(sampler_factory, seeds, stream,
+                                        config=cfg)
 
     target = normalize_weights(target_weights)
     n = stream.n

@@ -617,9 +617,9 @@ def _main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--compression", default=None,
                         help="reply compression codec (e.g. zlib)")
     parser.add_argument("--execution-config", default=None,
-                        help="JSON ExecutionConfig fields (backend, device, "
-                             "table_mode, workers, ...); secrets travel via "
-                             "the environment, never this flag")
+                        help="JSON ExecutionConfig fields (table_mode, "
+                             "workers, ...); secrets travel via the "
+                             "environment, never this flag")
     options = parser.parse_args(argv)
     target = _resolve_spec(options.spec)
     kwargs = json.loads(options.kwargs) if options.kwargs else {}

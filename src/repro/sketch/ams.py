@@ -210,8 +210,8 @@ class AMSEnsemble(ReplicaEnsemble):
     driving each sketch separately.
     """
 
-    def __init__(self, instances, *, config=None) -> None:
-        super().__init__(instances, config=config)
+    def __init__(self, instances) -> None:
+        super().__init__(instances)
         first = instances[0]
         if any(inst.shape != first.shape or inst._n != first._n
                for inst in instances):
@@ -230,27 +230,21 @@ class AMSEnsemble(ReplicaEnsemble):
         # concatenated family evaluation (shared through the keyed cache in
         # ``cached`` mode, never materialised in ``blocked`` mode).
         self._signs = None
-        self._counters = self._xp.zeros((members, counters), dtype=float)
+        self._counters = np.zeros((members, counters), dtype=float)
         self._num_updates = np.zeros(members, dtype=np.int64)
 
     def _ensure_signs(self) -> None:
-        """Materialise the stacked sign matrix on first use (lazy).
-
-        Sign evaluation happens on host numpy (exact integer hashing);
-        the float matrix then transfers to the array backend once — an
-        identity no-op on the numpy reference backend.
-        """
+        """Materialise the stacked float sign matrix on first use (lazy)."""
         if self._signs is None:
             members = self.num_members
             counters = self._counters.shape[1]
             if self._table_mode == "cached":
-                self._signs = self._sign_family.sign_table_float_tensor(
-                    self._n, self._xp).reshape(members, counters, self._n)
+                self._signs = self._sign_family.sign_table_float(
+                    self._n).reshape(members, counters, self._n)
             else:
                 all_indices = np.arange(self._n, dtype=np.int64)
-                signs = self._sign_family.sign_all(all_indices).astype(
+                self._signs = self._sign_family.sign_all(all_indices).astype(
                     float).reshape(members, counters, self._n)
-                self._signs = self._xp.from_numpy(signs)
 
     def _member_signs(self, member: int, indices: np.ndarray):
         """One member's ``(counters, B)`` float sign columns (mode-aware).
@@ -258,19 +252,16 @@ class AMSEnsemble(ReplicaEnsemble):
         The materialised gather ``signs[member][:, indices]`` is
         F-contiguous; the ``blocked`` branch converts its fresh evaluation
         to the same layout so the per-member gemv accumulates
-        bit-identically (BLAS order follows operand layout — the numpy
-        backend's ``from_numpy`` is an identity, so the layout survives;
-        non-numpy backends owe only statistical equivalence and may
-        re-layout on transfer).
+        bit-identically (BLAS order follows operand layout).
         """
         if self._table_mode == "blocked":
             counters = self._counters.shape[1]
-            return self._xp.from_numpy(np.asfortranarray(
+            return np.asfortranarray(
                 self._sign_family.sign_slice(
                     member * counters, (member + 1) * counters,
-                    indices).astype(float)))
+                    indices).astype(float))
         self._ensure_signs()
-        return self._signs[member][:, self._xp.from_numpy(indices)]
+        return self._signs[member][:, indices]
 
     def __getstate__(self):
         """Pickle without the stacked sign matrix (re-derived lazily from
@@ -306,12 +297,9 @@ class AMSEnsemble(ReplicaEnsemble):
             raise InvalidParameterError("ensembles must share (n, width, depth)")
         if any(e._table_mode != first._table_mode for e in ensembles):
             raise InvalidParameterError("ensembles must share table_mode")
-        if any(e._xp != first._xp for e in ensembles):
-            raise InvalidParameterError("ensembles must share the array backend")
         merged = cls.__new__(cls)
         ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances],
-            config=first._config)
+            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
         merged._depth = first._depth
         merged._width = first._width
@@ -324,9 +312,9 @@ class AMSEnsemble(ReplicaEnsemble):
         else:
             for ensemble in ensembles:
                 ensemble._ensure_signs()
-            merged._signs = first._xp.concatenate(
+            merged._signs = np.concatenate(
                 [e._signs for e in ensembles])
-        merged._counters = first._xp.concatenate(
+        merged._counters = np.concatenate(
             [e._counters for e in ensembles])
         merged._num_updates = np.concatenate([e._num_updates for e in ensembles])
         return merged
@@ -340,7 +328,7 @@ class AMSEnsemble(ReplicaEnsemble):
         ``self``.
         """
         self.check_mergeable(other)
-        self._xp.add_(self._counters, other._counters)
+        np.add(self._counters, other._counters, out=self._counters)
         self._num_updates += other._num_updates
         return self
 
@@ -351,11 +339,9 @@ class AMSEnsemble(ReplicaEnsemble):
             "AMS ensembles",
             {"n": self._n, "depth": self._depth, "width": self._width,
              "num_members": self.num_members,
-             "array backend": self._xp,
              "sign hash coefficients": self._sign_family.coefficients},
             {"n": other._n, "depth": other._depth, "width": other._width,
              "num_members": other.num_members,
-             "array backend": other._xp,
              "sign hash coefficients": other._sign_family.coefficients})
 
     @property
@@ -385,8 +371,7 @@ class AMSEnsemble(ReplicaEnsemble):
         # the same contiguous-vector layout the standalone sketch sees
         # (broadcast products can come out F-contiguous, whose row slices
         # are strided and accumulate in a different order inside BLAS).
-        xp = self._xp
-        deltas = xp.from_numpy(np.ascontiguousarray(deltas, dtype=float))
+        deltas = np.ascontiguousarray(deltas, dtype=float)
         shared = deltas.ndim == 1
         if not shared and tuple(deltas.shape) != (self.num_members,
                                                   indices.size):
@@ -400,19 +385,19 @@ class AMSEnsemble(ReplicaEnsemble):
         # scratch is call-local, so it is thread-private by construction).
         # ``np.dot(..., out=)`` runs the identical BLAS routine as ``@``,
         # so member state stays bit-identical to the standalone sketch.
-        scratch = xp.empty(self._counters.shape[1], dtype=float)
+        scratch = np.empty(self._counters.shape[1], dtype=float)
         for member in range(self.num_members):
             selected = self._member_signs(member, indices)
-            xp.dot_into(selected, deltas if shared else deltas[member], scratch)
-            xp.add_(self._counters[member], scratch)
+            np.dot(selected, deltas if shared else deltas[member], out=scratch)
+            counters = self._counters[member]
+            np.add(counters, scratch, out=counters)
         self._num_updates += int(indices.size)
 
     def estimate_f2_member(self, member: int) -> float:
         """Median-of-means ``F_2`` estimate of one member."""
         if self._num_updates[member] == 0:
             raise SamplerStateError("AMS sketch queried before any update")
-        counters = self._xp.to_numpy(self._counters)
-        squares = counters[member] ** 2
+        squares = self._counters[member] ** 2
         groups = squares.reshape(self._depth, self._width)
         return float(median_of_rows(groups.mean(axis=1)))
 
@@ -424,7 +409,7 @@ class AMSEnsemble(ReplicaEnsemble):
         """
         if not np.all(self._num_updates):
             raise SamplerStateError("AMS sketch queried before any update")
-        squares = self._xp.to_numpy(self._counters) ** 2
+        squares = self._counters ** 2
         groups = squares.reshape(self.num_members, self._depth, self._width)
         return median_of_rows(groups.mean(axis=2), axis=1)
 

@@ -210,12 +210,11 @@ class CountMinEnsemble(ReplicaEnsemble):
     lands in all members with one chunked scatter-add whose element
     order is member-major, row-major, batch-minor — exactly the order of
     the standalone sketch's per-row ``np.add.at`` loop — so member state
-    is bit-identical to driving each sketch separately (on the numpy
-    reference backend; non-numpy backends owe statistical equivalence).
+    is bit-identical to driving each sketch separately.
     """
 
-    def __init__(self, instances, *, config=None) -> None:
-        super().__init__(instances, config=config)
+    def __init__(self, instances) -> None:
+        super().__init__(instances)
         first = instances[0]
         if any(inst.shape != first.shape or inst._n != first._n
                for inst in instances):
@@ -234,21 +233,20 @@ class CountMinEnsemble(ReplicaEnsemble):
         self._bucket_family = KWiseHashFamily.concatenate(
             [inst._bucket_family for inst in instances])
         self._bucket_of = None
-        self._table = self._xp.zeros(
+        self._table = np.zeros(
             (len(instances), self._rows, self._buckets), dtype=float)
 
     def _ensure_tables(self) -> None:
-        """Build the stacked bucket table on first use (host hashing)."""
+        """Build the stacked bucket table on first use."""
         if self._bucket_of is None:
             members = self.num_members
             if self._table_mode == "cached":
-                self._bucket_of = self._bucket_family.hash_table_tensor(
-                    self._n, self._xp).reshape(members, self._rows, self._n)
+                self._bucket_of = self._bucket_family.hash_table(
+                    self._n).reshape(members, self._rows, self._n)
             else:
                 all_indices = np.arange(self._n, dtype=np.int64)
-                bucket_of = self._bucket_family.hash_all(all_indices).reshape(
-                    members, self._rows, self._n)
-                self._bucket_of = self._xp.from_numpy(bucket_of)
+                self._bucket_of = self._bucket_family.hash_all(
+                    all_indices).reshape(members, self._rows, self._n)
 
     def _member_columns(self, start: int, stop: int, indices: np.ndarray):
         """``(stop - start, rows, B)`` bucket columns of a member chunk."""
@@ -257,12 +255,9 @@ class CountMinEnsemble(ReplicaEnsemble):
             lo, hi = start * self._rows, stop * self._rows
             buckets = self._bucket_family.hash_slice(lo, hi, indices).reshape(
                 chunk, self._rows, indices.size)
-            return self._xp.from_numpy(buckets)
+            return buckets
         self._ensure_tables()
-        return self._bucket_of[start:stop, :, self._xp.from_numpy(indices)]
-
-    def _host_table(self) -> np.ndarray:
-        return self._xp.to_numpy(self._table)
+        return self._bucket_of[start:stop, :, indices]
 
     def __getstate__(self):
         """Pickle without the stacked bucket table (re-derived lazily)."""
@@ -305,12 +300,9 @@ class CountMinEnsemble(ReplicaEnsemble):
                or e._conservative != first._conservative for e in ensembles):
             raise InvalidParameterError(
                 "ensembles must share table_mode and the conservative flag")
-        if any(e._xp != first._xp for e in ensembles):
-            raise InvalidParameterError("ensembles must share the array backend")
         merged = cls.__new__(cls)
         ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances],
-            config=first._config)
+            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
         merged._rows = first._rows
         merged._buckets = first._buckets
@@ -324,21 +316,21 @@ class CountMinEnsemble(ReplicaEnsemble):
         else:
             for ensemble in ensembles:
                 ensemble._ensure_tables()
-            merged._bucket_of = first._xp.concatenate(
+            merged._bucket_of = np.concatenate(
                 [e._bucket_of for e in ensembles])
         members = sum(e._table.shape[0] for e in ensembles)
         if all(not e._table.any() for e in ensembles):
-            merged._table = first._xp.zeros(
+            merged._table = np.zeros(
                 (members, first._rows, first._buckets), dtype=float)
         else:
-            merged._table = first._xp.concatenate(
+            merged._table = np.concatenate(
                 [e._table for e in ensembles])
         return merged
 
     def merge(self, other: "CountMinEnsemble") -> "CountMinEnsemble":
         """Entrywise-add a same-hash ensemble fed a disjoint sub-stream."""
         self.check_mergeable(other)
-        self._xp.add_(self._table, other._table)
+        np.add(self._table, other._table, out=self._table)
         return self
 
     def check_mergeable(self, other: "CountMinEnsemble") -> None:
@@ -349,12 +341,10 @@ class CountMinEnsemble(ReplicaEnsemble):
             {"n": self._n, "shape": self.shape,
              "num_members": self.num_members,
              "conservative": self._conservative,
-             "array backend": self._xp,
              "bucket hash coefficients": self._bucket_family.coefficients},
             {"n": other._n, "shape": other.shape,
              "num_members": other.num_members,
              "conservative": other._conservative,
-             "array backend": other._xp,
              "bucket hash coefficients": other._bucket_family.coefficients})
 
     def update_batch(self, indices, deltas) -> None:
@@ -363,55 +353,48 @@ class CountMinEnsemble(ReplicaEnsemble):
         The scatter tuple broadcasts to ``(chunk, rows, B)`` and
         ``np.add.at`` visits cells member-major, row-major, batch-minor —
         the accumulation order of the standalone per-row loop — so the
-        numpy backend is bitwise equal to per-instance ingest.
+        ensemble is bitwise equal to per-instance ingest.
         """
         indices, deltas = coerce_batch(indices, deltas)
         if indices.size == 0:
             return
         check_batch_bounds(indices, self._n)
-        xp = self._xp
-        values = xp.from_numpy(deltas)
-        row_index = xp.arange(self._rows)[None, :, None]
+        row_index = np.arange(self._rows)[None, :, None]
         for start, stop in member_chunks(self.num_members,
                                          self._rows * indices.size):
             buckets = self._member_columns(start, stop, indices)
-            member_index = xp.arange(start, stop)[:, None, None]
-            xp.scatter_add(self._table,
-                           (member_index, row_index, buckets),
-                           values)
+            member_index = np.arange(start, stop)[:, None, None]
+            np.add.at(self._table, (member_index, row_index, buckets), deltas)
 
     def estimate_member(self, member: int, index: int) -> float:
         """Point query of one member (matches ``CountMin.estimate``)."""
         if not (0 <= index < self._n):
             raise InvalidParameterError(
                 f"index {index} outside universe [0, {self._n})")
-        buckets = self._xp.to_numpy(self._member_columns(
-            member, member + 1, np.asarray([index], dtype=np.int64)))
-        table = self._host_table()
+        buckets = self._member_columns(
+            member, member + 1, np.asarray([index], dtype=np.int64))
         rows = np.arange(self._rows)
-        values = table[member, rows, buckets[0, :, 0]]
+        values = self._table[member, rows, buckets[0, :, 0]]
         if self._conservative:
             return float(values.min())
         return float(np.median(values))
 
     def estimate_all_member(self, member: int) -> np.ndarray:
         """``estimate_all`` of one member (bit-identical to standalone)."""
-        table = self._host_table()
+        table = self._table
         rows = np.arange(self._rows)[:, None]
         if self._table_mode == "blocked":
             out = np.empty(self._n, dtype=float)
             for kstart in range(0, self._n, self._table_block):
                 kstop = min(self._n, kstart + self._table_block)
                 keys = np.arange(kstart, kstop, dtype=np.int64)
-                buckets = self._xp.to_numpy(
-                    self._member_columns(member, member + 1, keys))
+                buckets = self._member_columns(member, member + 1, keys)
                 values = table[member, rows, buckets[0]]
                 out[kstart:kstop] = (values.min(axis=0) if self._conservative
                                      else np.median(values, axis=0))
             return out
         self._ensure_tables()
-        buckets = self._xp.to_numpy(self._bucket_of[member])
-        values = table[member, rows, buckets]
+        values = table[member, rows, self._bucket_of[member]]
         if self._conservative:
             return values.min(axis=0)
         return np.median(values, axis=0)

@@ -313,8 +313,8 @@ class CountSketchEnsemble(ReplicaEnsemble):
     members each, e.g. the value-estimation banks of the JW18 sampler).
     """
 
-    def __init__(self, instances, *, config=None) -> None:
-        super().__init__(instances, config=config)
+    def __init__(self, instances) -> None:
+        super().__init__(instances)
         first = instances[0]
         if any(inst.shape != first.shape or inst._n != first._n
                for inst in instances):
@@ -336,32 +336,24 @@ class CountSketchEnsemble(ReplicaEnsemble):
         # single pass on first touch.
         self._bucket_of = None
         self._sign_of = None
-        self._table = self._xp.zeros(
+        self._table = np.zeros(
             (members, self._rows, self._buckets), dtype=float)
 
     def _ensure_tables(self) -> None:
-        """Build the stacked per-coordinate hash tables on first use.
-
-        Hash evaluation always happens on host numpy (exact uint64
-        Mersenne arithmetic, see :mod:`repro.utils.backend`); the
-        resulting integer tables are transferred to the array backend
-        once — an identity no-op on the numpy reference backend.
-        """
+        """Build the stacked per-coordinate hash tables on first use."""
         if self._bucket_of is None:
             members = self.num_members
             if self._table_mode == "cached":
-                self._bucket_of = self._bucket_family.hash_table_tensor(
-                    self._n, self._xp).reshape(members, self._rows, self._n)
-                self._sign_of = self._sign_family.sign_table_tensor(
-                    self._n, self._xp).reshape(members, self._rows, self._n)
+                self._bucket_of = self._bucket_family.hash_table(
+                    self._n).reshape(members, self._rows, self._n)
+                self._sign_of = self._sign_family.sign_table(
+                    self._n).reshape(members, self._rows, self._n)
             else:
                 all_indices = np.arange(self._n, dtype=np.int64)
-                bucket_of = self._bucket_family.hash_all(all_indices).reshape(
-                    members, self._rows, self._n)
-                sign_of = self._sign_family.sign_all(all_indices).reshape(
-                    members, self._rows, self._n)
-                self._bucket_of = self._xp.from_numpy(bucket_of)
-                self._sign_of = self._xp.from_numpy(sign_of)
+                self._bucket_of = self._bucket_family.hash_all(
+                    all_indices).reshape(members, self._rows, self._n)
+                self._sign_of = self._sign_family.sign_all(
+                    all_indices).reshape(members, self._rows, self._n)
 
     def _member_columns(self, start: int, stop: int, indices: np.ndarray):
         """``(stop - start, rows, B)`` bucket/sign values of a member chunk.
@@ -370,8 +362,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
         evaluated directly, with the same values as the fancy-index gather
         from the materialised table.  The downstream bincount/scatter
         kernels read operands element-wise in C order regardless of memory
-        layout, so the accumulation is bitwise-equal either way.  Returned
-        arrays live on the ensemble's array backend.
+        layout, so the accumulation is bitwise-equal either way.
         """
         if self._table_mode == "blocked":
             chunk = stop - start
@@ -380,21 +371,10 @@ class CountSketchEnsemble(ReplicaEnsemble):
                 chunk, self._rows, indices.size)
             signs = self._sign_family.sign_slice(lo, hi, indices).reshape(
                 chunk, self._rows, indices.size)
-            return self._xp.from_numpy(buckets), self._xp.from_numpy(signs)
+            return buckets, signs
         self._ensure_tables()
-        index_dev = self._xp.from_numpy(indices)
-        return (self._bucket_of[start:stop, :, index_dev],
-                self._sign_of[start:stop, :, index_dev])
-
-    def _host_columns(self, start: int, stop: int, indices: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Host-numpy view of :meth:`_member_columns` (query paths)."""
-        buckets, signs = self._member_columns(start, stop, indices)
-        return self._xp.to_numpy(buckets), self._xp.to_numpy(signs)
-
-    def _host_table(self) -> np.ndarray:
-        """Host-numpy view of the stacked tables (identity on numpy)."""
-        return self._xp.to_numpy(self._table)
+        return (self._bucket_of[start:stop, :, indices],
+                self._sign_of[start:stop, :, indices])
 
     def __getstate__(self):
         """Pickle without the stacked tables (re-derived lazily from the
@@ -434,12 +414,9 @@ class CountSketchEnsemble(ReplicaEnsemble):
             raise InvalidParameterError("ensembles must share (n, buckets, rows)")
         if any(e._table_mode != first._table_mode for e in ensembles):
             raise InvalidParameterError("ensembles must share table_mode")
-        if any(e._xp != first._xp for e in ensembles):
-            raise InvalidParameterError("ensembles must share the array backend")
         merged = cls.__new__(cls)
         ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances],
-            config=first._config)
+            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
         merged._rows = first._rows
         merged._buckets = first._buckets
@@ -455,18 +432,18 @@ class CountSketchEnsemble(ReplicaEnsemble):
         else:
             for ensemble in ensembles:
                 ensemble._ensure_tables()
-            merged._bucket_of = first._xp.concatenate(
+            merged._bucket_of = np.concatenate(
                 [e._bucket_of for e in ensembles])
-            merged._sign_of = first._xp.concatenate(
+            merged._sign_of = np.concatenate(
                 [e._sign_of for e in ensembles])
         members = sum(e._table.shape[0] for e in ensembles)
         if all(not e._table.any() for e in ensembles):
             # Fresh ensembles: allocate the merged zero table directly
             # instead of concatenating hundreds of small zero arrays.
-            merged._table = first._xp.zeros(
+            merged._table = np.zeros(
                 (members, first._rows, first._buckets), dtype=float)
         else:
-            merged._table = first._xp.concatenate(
+            merged._table = np.concatenate(
                 [e._table for e in ensembles])
         return merged
 
@@ -481,7 +458,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
         place; returns ``self``.
         """
         self.check_mergeable(other)
-        self._xp.add_(self._table, other._table)
+        np.add(self._table, other._table, out=self._table)
         return self
 
     def check_mergeable(self, other: "CountSketchEnsemble") -> None:
@@ -491,12 +468,10 @@ class CountSketchEnsemble(ReplicaEnsemble):
             "CountSketch ensembles",
             {"n": self._n, "shape": self.shape,
              "num_members": self.num_members,
-             "array backend": self._xp,
              "bucket hash coefficients": self._bucket_family.coefficients,
              "sign hash coefficients": self._sign_family.coefficients},
             {"n": other._n, "shape": other.shape,
              "num_members": other.num_members,
-             "array backend": other._xp,
              "bucket hash coefficients": other._bucket_family.coefficients,
              "sign hash coefficients": other._sign_family.coefficients})
 
@@ -540,12 +515,10 @@ class CountSketchEnsemble(ReplicaEnsemble):
             return
         check_batch_bounds(indices, self._n)
         deltas = self._coerce_deltas(raw_deltas, indices.size)
-        xp = self._xp
-        deltas = xp.from_numpy(deltas)
         groups = deltas.shape[0]
         per_group = self.num_members // groups
         batch = indices.size
-        row_index = xp.arange(self._rows)[None, :, None]
+        row_index = np.arange(self._rows)[None, :, None]
         # Same large-batch rule as the standalone sketch so per-cell
         # accumulation matches it bit-for-bit.
         use_bincount = batch >= self._buckets
@@ -569,21 +542,21 @@ class CountSketchEnsemble(ReplicaEnsemble):
             if use_bincount:
                 # The fused scatter: one flat weighted bincount per member
                 # chunk, accumulated into the table slice in place (see
-                # ``fused_bincount_add`` — on the numpy backend both the
-                # bincount and the in-place add release the GIL on these
-                # array sizes, which is what lets the `threaded` sharding
-                # back-end overlap shard ingests in one process; the
-                # small-batch scatter fallback below holds it —
-                # large-batch ingest is the path worth parallelising).
+                # ``fused_bincount_add`` — both the bincount and the
+                # in-place add release the GIL on these array sizes, which
+                # is what lets the `threaded` sharding back-end overlap
+                # shard ingests in one process; the small-batch scatter
+                # fallback below holds it — large-batch ingest is the path
+                # worth parallelising).
                 flat = buckets + (row_index * self._buckets
-                                  + xp.arange(chunk, dtype=np.int64)[:, None, None]
+                                  + np.arange(chunk, dtype=np.int64)[:, None, None]
                                   * cells_per_member)
-                fused_bincount_add(xp, self._table[start:stop], flat, values,
+                fused_bincount_add(self._table[start:stop], flat, values,
                                    chunk * cells_per_member)
             else:
-                member_index = xp.arange(start, stop)[:, None, None]
-                xp.scatter_add(self._table, (member_index, row_index, buckets),
-                               values)
+                member_index = np.arange(start, stop)[:, None, None]
+                np.add.at(self._table, (member_index, row_index, buckets),
+                          values)
 
     def update(self, index: int, delta: float) -> None:
         """Apply one scalar update to every member."""
@@ -595,9 +568,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
         vector = np.asarray(vector, dtype=float)
         if vector.shape != (self._n,):
             raise InvalidParameterError("vector shape must match the universe size")
-        xp = self._xp
-        vector = xp.from_numpy(vector)
-        row_index = xp.arange(self._rows)[None, :, None]
+        row_index = np.arange(self._rows)[None, :, None]
         if self._table_mode == "blocked":
             # Key-block outer, member-chunk inner: every (member, row,
             # bucket) cell still accumulates its keys in ascending order,
@@ -608,19 +579,19 @@ class CountSketchEnsemble(ReplicaEnsemble):
                 segment = vector[kstart:kstop]
                 for start, stop in member_chunks(self.num_members,
                                                  self._rows * keys.size):
-                    member_index = xp.arange(start, stop)[:, None, None]
+                    member_index = np.arange(start, stop)[:, None, None]
                     buckets, signs = self._member_columns(start, stop, keys)
-                    xp.scatter_add(self._table,
-                                   (member_index, row_index, buckets),
-                                   signs * segment)
+                    np.add.at(self._table,
+                              (member_index, row_index, buckets),
+                              signs * segment)
             return
         self._ensure_tables()
         for start, stop in member_chunks(self.num_members, self._rows * self._n):
-            member_index = xp.arange(start, stop)[:, None, None]
+            member_index = np.arange(start, stop)[:, None, None]
             values = self._sign_of[start:stop] * vector
-            xp.scatter_add(self._table,
-                           (member_index, row_index, self._bucket_of[start:stop]),
-                           values)
+            np.add.at(self._table,
+                      (member_index, row_index, self._bucket_of[start:stop]),
+                      values)
 
     def estimate_member(self, member: int, index: int) -> float:
         """Point query of one member (matches ``CountSketch.estimate``)."""
@@ -647,12 +618,10 @@ class CountSketchEnsemble(ReplicaEnsemble):
             buckets = self._bucket_family.hash_at(cells, keys[:, None])
             signs = self._sign_family.sign_at(cells, keys[:, None])
         else:
-            xp = self._xp
-            where = (xp.from_numpy(members[:, None]),
-                     xp.from_numpy(np.arange(self._rows)[None, :]),
-                     xp.from_numpy(keys[:, None]))
-            buckets = xp.to_numpy(self._bucket_of[where])
-            signs = xp.to_numpy(self._sign_of[where])
+            where = (members[:, None], np.arange(self._rows)[None, :],
+                     keys[:, None])
+            buckets = self._bucket_of[where]
+            signs = self._sign_of[where]
         return self._signed_median(cells, buckets, signs)
 
     def _signed_median(self, cells: np.ndarray, buckets: np.ndarray,
@@ -663,7 +632,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
         so one flat ``take`` reads every counter; the product is the one
         ``CountSketch.estimate_all`` forms, so the median matches it.
         """
-        values = self._host_table().reshape(-1).take(
+        values = self._table.reshape(-1).take(
             cells * self._buckets + buckets)
         values *= signs
         return median_of_rows(values, axis=1)
@@ -679,13 +648,12 @@ class CountSketchEnsemble(ReplicaEnsemble):
             for kstart in range(0, self._n, self._table_block):
                 kstop = min(self._n, kstart + self._table_block)
                 keys = np.arange(kstart, kstop, dtype=np.int64)
-                buckets, signs = self._host_columns(start, stop, keys)
+                buckets, signs = self._member_columns(start, stop, keys)
                 out[:, kstart:kstop] = self._signed_median(cells, buckets, signs)
             return out
         self._ensure_tables()
-        return self._signed_median(
-            cells, self._xp.to_numpy(self._bucket_of[start:stop]),
-            self._xp.to_numpy(self._sign_of[start:stop]))
+        return self._signed_median(cells, self._bucket_of[start:stop],
+                                   self._sign_of[start:stop])
 
     def estimate_all_member(self, member: int) -> np.ndarray:
         """``estimate_all`` of one member (bit-identical to standalone)."""
@@ -696,8 +664,8 @@ class CountSketchEnsemble(ReplicaEnsemble):
         return self._estimate_all_range(0, self.num_members)
 
     def member_tables(self) -> np.ndarray:
-        """The stacked ``(M, rows, buckets)`` tables (host-numpy view)."""
-        return self._host_table()
+        """The stacked ``(M, rows, buckets)`` tables."""
+        return self._table
 
     def sample_replica(self, replica: int):
         """CountSketch has no ``sample``; ensembles of it are query-only."""

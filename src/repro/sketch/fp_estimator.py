@@ -202,8 +202,8 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
     keeps its once-per-ingest-state estimate memo.
     """
 
-    def __init__(self, instances, *, config=None) -> None:
-        super().__init__(instances, config=config)
+    def __init__(self, instances) -> None:
+        super().__init__(instances)
         first = instances[0]
         if any((inst._n, inst._p, inst._repetitions, inst._exact_recovery)
                != (first._n, first._p, first._repetitions, first._exact_recovery)
@@ -216,7 +216,7 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         if self._exact:
             self._inverse_scales = np.stack(
                 [inst._inverse_scales for inst in instances])
-            self._scaled_vectors = self._xp.zeros(
+            self._scaled_vectors = np.zeros(
                 (len(instances), self._repetitions, self._n), dtype=float)
             self._num_updates = np.zeros(len(instances), dtype=np.int64)
 
@@ -238,19 +238,16 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
                for e in ensembles):
             raise InvalidParameterError(
                 "ensembles must share (n, p, repetitions, recovery mode)")
-        if any(e._xp != first._xp for e in ensembles):
-            raise InvalidParameterError("ensembles must share the array backend")
         merged = cls.__new__(cls)
         ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances],
-            config=first._config)
+            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
         merged._exact = first._exact
         merged._repetitions = first._repetitions
         if first._exact:
             merged._inverse_scales = np.concatenate(
                 [e._inverse_scales for e in ensembles])
-            merged._scaled_vectors = first._xp.concatenate(
+            merged._scaled_vectors = np.concatenate(
                 [e._scaled_vectors for e in ensembles])
             merged._num_updates = np.concatenate(
                 [e._num_updates for e in ensembles])
@@ -266,7 +263,8 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         """
         self.check_mergeable(other)
         if self._exact:
-            self._xp.add_(self._scaled_vectors, other._scaled_vectors)
+            np.add(self._scaled_vectors, other._scaled_vectors,
+                   out=self._scaled_vectors)
             self._num_updates += other._num_updates
             return self
         for mine, theirs in zip(self._instances, other._instances):
@@ -312,16 +310,13 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
             return
         check_batch_bounds(indices, self._n)
         if self._exact:
-            xp = self._xp
-            # The scale gather runs on host (the (R, reps, n) factor array
-            # stays numpy); only the scatter routes through the backend.
-            scaled = xp.from_numpy(deltas * self._inverse_scales[:, :, indices])
-            replica_index = xp.arange(self.num_replicas)[:, None, None]
-            repetition_index = xp.arange(self._repetitions)[None, :, None]
-            index_dev = xp.from_numpy(indices)[None, None, :]
-            xp.scatter_add(self._scaled_vectors,
-                           (replica_index, repetition_index, index_dev),
-                           scaled)
+            scaled = deltas * self._inverse_scales[:, :, indices]
+            replica_index = np.arange(self.num_replicas)[:, None, None]
+            repetition_index = np.arange(self._repetitions)[None, :, None]
+            np.add.at(self._scaled_vectors,
+                      (replica_index, repetition_index,
+                       indices[None, None, :]),
+                      scaled)
             self._num_updates += int(indices.size)
         else:
             for instance in self._instances:
@@ -337,8 +332,7 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
             return self._instances[replica].estimate()
         if self._num_updates[replica] == 0:
             raise SamplerStateError("Fp estimator queried before any update")
-        scaled_vectors = self._xp.to_numpy(self._scaled_vectors)
-        maxima = np.max(np.abs(scaled_vectors[replica]), axis=1)
+        maxima = np.max(np.abs(self._scaled_vectors[replica]), axis=1)
         if np.any(maxima <= 0):
             return 0.0
         inverse_moments = maxima ** (-self._instances[replica]._p)

@@ -283,8 +283,8 @@ class PStableEnsemble(ReplicaEnsemble):
     bit-identical to driving each sketch separately.
     """
 
-    def __init__(self, instances, *, config=None) -> None:
-        super().__init__(instances, config=config)
+    def __init__(self, instances) -> None:
+        super().__init__(instances)
         first = instances[0]
         if any((inst._n, inst._p, inst._num_rows) != (first._n, first._p, first._num_rows)
                for inst in instances):
@@ -295,8 +295,7 @@ class PStableEnsemble(ReplicaEnsemble):
         self._roots = np.asarray([inst._root_seed for inst in instances],
                                  dtype=np.uint64)
         self._scales = np.asarray([inst._scale for inst in instances])
-        self._state = self._xp.zeros((len(instances), self._num_rows),
-                                     dtype=float)
+        self._state = np.zeros((len(instances), self._num_rows), dtype=float)
         self._num_updates = np.zeros(len(instances), dtype=np.int64)
 
     @classmethod
@@ -313,18 +312,15 @@ class PStableEnsemble(ReplicaEnsemble):
         if any((e._n, e._p, e._num_rows) != (first._n, first._p, first._num_rows)
                for e in ensembles):
             raise InvalidParameterError("ensembles must share (n, p, num_rows)")
-        if any(e._xp != first._xp for e in ensembles):
-            raise InvalidParameterError("ensembles must share the array backend")
         merged = cls.__new__(cls)
         ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances],
-            config=first._config)
+            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
         merged._p = first._p
         merged._num_rows = first._num_rows
         merged._roots = np.concatenate([e._roots for e in ensembles])
         merged._scales = np.concatenate([e._scales for e in ensembles])
-        merged._state = first._xp.concatenate([e._state for e in ensembles])
+        merged._state = np.concatenate([e._state for e in ensembles])
         merged._num_updates = np.concatenate([e._num_updates for e in ensembles])
         return merged
 
@@ -337,7 +333,7 @@ class PStableEnsemble(ReplicaEnsemble):
         the stacked projection states.  In place; returns ``self``.
         """
         self.check_mergeable(other)
-        self._xp.add_(self._state, other._state)
+        np.add(self._state, other._state, out=self._state)
         self._num_updates += other._num_updates
         return self
 
@@ -347,10 +343,8 @@ class PStableEnsemble(ReplicaEnsemble):
         require_merge_compatible(
             "p-stable ensembles",
             {"n": self._n, "p": self._p, "num_rows": self._num_rows,
-             "array backend": self._xp,
              "replica seeds": self._roots},
             {"n": other._n, "p": other._p, "num_rows": other._num_rows,
-             "array backend": other._xp,
              "replica seeds": other._roots})
 
     def space_counters(self) -> int:
@@ -375,27 +369,23 @@ class PStableEnsemble(ReplicaEnsemble):
         # process (the scratch is call-local, hence thread-private).
         # ``np.dot`` with ``out=`` is the identical BLAS call as ``@`` —
         # replica state stays bit-identical to the standalone sketch.
-        xp = self._xp
-        aggregated = xp.from_numpy(aggregated)
-        scratch = xp.empty(self._num_rows, dtype=float)
+        scratch = np.empty(self._num_rows, dtype=float)
         for start in range(0, self.num_replicas, step):
             stop = min(self.num_replicas, start + step)
-            # The counter-based oracle is exact splitmix64 integer math and
-            # always evaluates on host numpy; the coefficient blocks then
-            # transfer to the backend (identity no-op on numpy).
-            blocks = xp.from_numpy(stable_coefficient_block(
-                self._roots[start:stop], self._p, self._num_rows, unique))
+            blocks = stable_coefficient_block(
+                self._roots[start:stop], self._p, self._num_rows, unique)
             for replica in range(start, stop):
-                xp.dot_into(blocks[replica - start], aggregated, scratch)
-                xp.add_(self._state[replica], scratch)
+                np.dot(blocks[replica - start], aggregated, out=scratch)
+                state = self._state[replica]
+                np.add(state, scratch, out=state)
         self._num_updates += int(indices.size)
 
     def estimate_norm_replica(self, replica: int) -> float:
         """Median estimator of ``||x||_p`` for one replica."""
         if self._num_updates[replica] == 0:
             raise SamplerStateError("the sketch has not seen any updates")
-        state = self._xp.to_numpy(self._state)
-        return float(np.median(np.abs(state[replica])) / self._scales[replica])
+        return float(np.median(np.abs(self._state[replica]))
+                     / self._scales[replica])
 
     def estimate_moment_replica(self, replica: int) -> float:
         """``F_p`` estimate of one replica."""

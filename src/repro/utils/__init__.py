@@ -26,16 +26,12 @@ without import cycles:
     :mod:`repro.samplers.base` as the documented API surface.  Also hosts
     the shared ``uint64``-limb Mersenne-prime kernels (``mersenne_mulmod``,
     ``polyval_mersenne``) used by the hash families and fingerprints.
-``backend``
-    The pluggable :class:`~repro.utils.backend.ArrayBackend` protocol the
-    ensemble kernels allocate/scatter/reduce through: ``numpy`` (the
-    always-available, bit-identical reference) and ``torch`` (import-gated,
-    CPU or GPU, statistically equivalent).
 ``execution_config``
     The frozen :class:`~repro.utils.execution_config.ExecutionConfig`
-    bundling backend/device, table mode, execution mode, and shard/worker
-    counts — the one object threaded through ensembles, sharding, the
-    evaluation harness, and the service.
+    bundling table mode, execution mode, shard/worker counts, worker
+    addresses and the cluster secret — the one object threaded through
+    the ensemble helpers, sharding, the evaluation harness, and the
+    service.
 ``ensemble``
     The replica-ensemble engine: stack ``R`` independent replicas of a
     sketch/sampler into one vectorised structure with a single shared
@@ -72,14 +68,6 @@ without import cycles:
     serial execution while the network misbehaves.
 """
 
-from repro.utils.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 from repro.utils.execution_config import ExecutionConfig
 from repro.utils.batching import (
     DEFAULT_BATCH_SIZE,
@@ -134,13 +122,7 @@ from repro.utils.stats import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
     "ExecutionConfig",
-    "NumpyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "DEFAULT_BATCH_SIZE",
     "MERSENNE_PRIME_61",
     "BatchUpdateMixin",

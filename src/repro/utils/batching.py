@@ -34,14 +34,6 @@ The module deliberately imports nothing outside :mod:`numpy` and the
 exception hierarchy so that both the ``sketch`` and ``samplers`` packages
 can use it without import cycles; :mod:`repro.samplers.base` re-exports the
 public names as the documented API surface.
-
-Array-backend split: the uint64-limb Mersenne kernels here are **exact
-integer math** and always run on host numpy — every array backend must
-agree with them bit for bit, so hash evaluation never moves off-host
-(see :mod:`repro.utils.backend`).  The float scatter kernels that *do*
-route through a backend (:func:`fused_bincount_add`) take the backend as
-an explicit ``xp`` argument instead of importing it, preserving this
-module's no-cycle import discipline.
 """
 
 from __future__ import annotations
@@ -426,23 +418,19 @@ class BatchUpdateMixin:
         replay_stream(self, stream, batch_size=batch_size)
 
 
-def fused_bincount_add(xp, target, flat, values, minlength: int) -> None:
+def fused_bincount_add(target, flat, values, minlength: int) -> None:
     """The fused large-batch scatter: weighted bincount, added in place.
 
     ``flat`` holds already-linearised cell indices into a zero-based
     length-``minlength`` view of ``target`` (C order), ``values`` the
     matching weights.  One weighted bincount materialises the per-cell
     sums, which are then accumulated into ``target`` without a second
-    temporary.  Routed through an
-    :class:`~repro.utils.backend.ArrayBackend` ``xp``: on the numpy
-    reference backend these are exactly ``np.bincount`` +
-    ``np.add(..., out=...)`` — the historical inline kernel, bit for bit.
-    Both release the GIL at these array sizes on numpy, which is what
-    lets the ``threaded`` sharding back-end overlap shard ingests.
+    temporary.  Both steps release the GIL at these array sizes, which
+    is what lets the ``threaded`` sharding back-end overlap shard ingests.
     """
-    counts = xp.bincount(xp.ravel(flat), weights=xp.ravel(values),
+    counts = np.bincount(flat.ravel(), weights=values.ravel(),
                          minlength=minlength)
-    xp.add_(target, counts.reshape(target.shape))
+    np.add(target, counts.reshape(target.shape), out=target)
 
 
 def aggregate_batch(indices: np.ndarray, deltas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -68,7 +68,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.backend import ArrayBackend, get_backend
 from repro.utils.batching import coerce_batch, replay_stream, stream_arrays
 from repro.utils.execution_config import ExecutionConfig
 
@@ -101,24 +100,10 @@ class ReplicaEnsemble:
     populated by ensemble ingest unless the subclass says otherwise).
     """
 
-    def __init__(self, instances: Sequence, *,
-                 config: Optional[ExecutionConfig] = None) -> None:
+    def __init__(self, instances: Sequence) -> None:
         if not instances:
             raise InvalidParameterError("an ensemble needs at least one replica")
         self._instances = list(instances)
-        self._config = config
-        self._xp = (config.resolve_backend() if config is not None
-                    else get_backend("numpy"))
-
-    @property
-    def config(self) -> Optional[ExecutionConfig]:
-        """The :class:`ExecutionConfig` this ensemble was built with."""
-        return self._config
-
-    @property
-    def backend(self) -> ArrayBackend:
-        """The array backend ingest routes through (numpy by default)."""
-        return self._xp
 
     @classmethod
     def concat(cls, ensembles: "Sequence[ReplicaEnsemble]") -> "ReplicaEnsemble":
@@ -141,8 +126,7 @@ class ReplicaEnsemble:
             raise InvalidParameterError(
                 "can only concat ensembles of one type; got "
                 f"{sorted({type(e).__name__ for e in ensembles})}")
-        return cls([inst for e in ensembles for inst in e._instances],
-                   config=ensembles[0]._config)
+        return cls([inst for e in ensembles for inst in e._instances])
 
     def merge(self, other: "ReplicaEnsemble") -> "ReplicaEnsemble":
         """Entrywise-merge a same-seed ensemble fed a disjoint stream shard.
@@ -243,9 +227,8 @@ class LevelStackEnsemble(ReplicaEnsemble):
     the instances exactly as in the standalone path.
     """
 
-    def __init__(self, instances: Sequence, *,
-                 config: Optional[ExecutionConfig] = None) -> None:
-        super().__init__(instances, config=config)
+    def __init__(self, instances: Sequence) -> None:
+        super().__init__(instances)
         first = instances[0]
         if any(inst._n != first._n for inst in instances):
             raise InvalidParameterError("replicas must share the universe size")
@@ -332,57 +315,19 @@ def registered_ensemble_builder(cls: type) -> Optional[Callable]:
     return None
 
 
-def _builder_accepts_config(builder: Callable) -> bool:
-    """Whether ``builder`` takes a ``config=`` keyword (cached per builder).
-
-    Registered builders predating the execution-config API take bare
-    instance lists; probing the signature keeps them working unchanged
-    (they run on the numpy reference backend).
-    """
-    cached = _CONFIG_AWARE.get(builder)
-    if cached is not None:
-        return cached
-    import inspect
-    try:
-        parameters = inspect.signature(builder).parameters.values()
-        accepts = any(p.name == "config" or p.kind is p.VAR_KEYWORD
-                      for p in parameters)
-    except (TypeError, ValueError):  # builtins / C callables
-        accepts = False
-    _CONFIG_AWARE[builder] = accepts
-    return accepts
-
-
-_CONFIG_AWARE: dict = {}
-
-
-def build_ensemble(instances: Sequence,
-                   config: Optional[ExecutionConfig] = None) -> ReplicaEnsemble:
-    """Wrap replica instances in their native ensemble (or the fallback).
-
-    ``config`` selects the array backend (and rides along for
-    introspection); builders that predate the config API — or composite
-    ensembles without a backend port — are called without it and run on
-    the numpy reference backend, which is always valid (statistically the
-    config's backend is an optimisation, never a semantic change).
-    """
+def build_ensemble(instances: Sequence) -> ReplicaEnsemble:
+    """Wrap replica instances in their native ensemble (or the fallback)."""
     if not instances:
         raise InvalidParameterError("an ensemble needs at least one replica")
-    if config is not None:
-        # Fail fast on an unknown/unavailable backend instead of silently
-        # ingesting on the default.
-        config.resolve_backend()
     builder = registered_ensemble_builder(type(instances[0]))
     if builder is None:
-        return SamplerEnsemble(instances, config=config)
+        return SamplerEnsemble(instances)
     try:
-        if config is not None and _builder_accepts_config(builder):
-            return builder(instances, config=config)
         return builder(instances)
     except InvalidParameterError:
         # Heterogeneous configurations across replicas (different shapes /
         # modes) cannot be stacked; fall back to the per-instance path.
-        return SamplerEnsemble(instances, config=config)
+        return SamplerEnsemble(instances)
 
 
 def ensemble_samples(factory: Callable[[int], object], seeds: Iterable[int],
@@ -396,9 +341,9 @@ def ensemble_samples(factory: Callable[[int], object], seeds: Iterable[int],
     samples are returned in seed order.  Results are bit-identical to the
     sequential construct/replay/sample loop over the same seeds.
 
-    ``config`` selects the array backend and (via ``config.table_mode``)
-    the hash-table mode the instances are constructed under;
-    ``config.batch_size`` applies when ``batch_size`` is not given.
+    ``config.table_mode`` selects the hash-table mode the instances are
+    constructed under; ``config.batch_size`` applies when ``batch_size``
+    is not given.
     """
     if config is not None and batch_size is None:
         batch_size = config.batch_size
@@ -408,7 +353,7 @@ def ensemble_samples(factory: Callable[[int], object], seeds: Iterable[int],
         instances = [factory(seed) for seed in seeds]
         if not instances:
             return []
-        ensemble = build_ensemble(instances, config)
+        ensemble = build_ensemble(instances)
     if stream is not None:
         ensemble.update_stream(stream, batch_size=batch_size)
     return ensemble.replica_samples()

@@ -1,36 +1,30 @@
-"""One frozen object for every execution knob — backend, device, table
-mode, execution mode, shard/worker counts.
+"""One frozen object for every execution knob — table mode, execution
+mode, shard/worker counts, worker addresses and the cluster secret.
 
-Nine PRs accreted scattered per-call kwargs (``execution=``,
-``processes=``, ``num_shards=``, ``batch_size=``, ``table_mode=``) plus
-env registries (``REPRO_DISTRIBUTED_WORKERS``, ``REPRO_CLUSTER_SECRET``)
-on top of the per-sketch constructor knobs.  :class:`ExecutionConfig`
-consolidates them: one frozen, hashable, picklable value threaded
-through :func:`repro.utils.ensemble.build_ensemble`,
-:func:`repro.utils.sharding.ingest_sharded`,
-:func:`repro.evaluation.distribution_tests.evaluate_sampler_distribution`,
-and the sampler service.  The old kwargs remain as thin deprecated
-aliases (see :func:`warn_deprecated_kwarg`).
+:class:`ExecutionConfig` is the only way to choose how work executes: one
+frozen, hashable, picklable value threaded through
+:func:`repro.utils.ensemble.ensemble_samples`,
+:func:`repro.utils.sharding.ingest_sharded` and the other sharding
+helpers, :func:`repro.evaluation.distribution_tests.evaluate_sampler_distribution`,
+:meth:`repro.applications.distributed.DistributedSamplingCoordinator.bulk_samples`,
+and the sampler service.  A config is consumed where work is scheduled;
+no ensemble or sketch keeps one, so its ``cluster_secret`` never rides
+along in a pickle.
 
 Precedence
 ----------
-``explicit argument > environment > default``, concretely:
+``explicit field > environment > default``, concretely:
 
-1. A legacy kwarg passed explicitly at a call site wins over the
-   ``config`` object (the alias exists precisely so old call sites keep
-   their old meaning), and an explicit ``ExecutionConfig`` field wins
-   over any environment variable.
-2. :meth:`ExecutionConfig.from_env` is the **only** place environment
-   variables enter: ``REPRO_BACKEND`` / ``REPRO_BACKEND_DEVICE``
-   (array backend), ``REPRO_TABLE_MODE`` (hash-table evaluation mode),
+1. :meth:`ExecutionConfig.from_env` is the **only** place environment
+   variables enter: ``REPRO_TABLE_MODE`` (hash-table evaluation mode),
    ``REPRO_DISTRIBUTED_WORKERS`` (comma-separated ``host:port`` worker
    list, as understood by :func:`repro.utils.coordinator.default_workers`),
    and ``REPRO_CLUSTER_SECRET`` / ``REPRO_CLUSTER_SECRET_FILE`` (worker
    authentication, as understood by
    :func:`repro.utils.transport.resolve_cluster_secret`).  Explicit
    keyword overrides to ``from_env`` beat the environment.
-3. Field defaults (``backend="numpy"``, ``execution="serial"``, …)
-   apply last.
+2. Field defaults (``execution="serial"``, ``None`` elsewhere) apply
+   last.
 
 A config never mutates process-wide registries on construction;
 :meth:`ExecutionConfig.apply_defaults` does that explicitly for
@@ -40,32 +34,25 @@ long-lived processes (the sampler service calls it at startup).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
-import sys
-import warnings
 from typing import Optional, Tuple
 
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_DEVICE_ENV",
+    "EXECUTION_MODES",
     "TABLE_MODE_ENV",
     "ExecutionConfig",
-    "warn_deprecated_kwarg",
-    "reset_deprecation_registry",
 ]
 
-#: Environment variables read by :meth:`ExecutionConfig.from_env`.
-BACKEND_ENV = "REPRO_BACKEND"
-BACKEND_DEVICE_ENV = "REPRO_BACKEND_DEVICE"
+#: Environment variable read by :meth:`ExecutionConfig.from_env` for the
+#: table mode (the worker and secret variables belong to the coordinator
+#: and transport modules).
 TABLE_MODE_ENV = "REPRO_TABLE_MODE"
 
-#: Execution modes accepted by ``ExecutionConfig.execution`` — the
-#: sharding layer's modes plus ``"sharded"`` (the distribution harness'
-#: name for serial sharded draws).
-_EXECUTIONS = ("serial", "sharded", "threaded", "multiprocessing",
-               "distributed")
+#: Execution back-ends accepted by ``ExecutionConfig.execution``.
+EXECUTION_MODES = ("serial", "threaded", "multiprocessing", "distributed")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,28 +61,21 @@ class ExecutionConfig:
 
     Fields
     ------
-    backend / device:
-        Array backend name (``"numpy"``/``"torch"``) and device string
-        (``None``, ``"cpu"``, ``"cuda"``…) resolved through
-        :func:`repro.utils.backend.get_backend`.  Numpy is the default
-        and is bit-identical to the historical code.
-    table_mode / table_block:
+    table_mode:
         Hash-table evaluation mode (``"cached"``/``"private"``/
         ``"blocked"``) applied while *constructing* sketches through the
         ensemble/sharding helpers; ``None`` defers to the process
         default (:func:`repro.utils.table_cache.default_table_mode`).
     execution / num_shards / processes / batch_size:
         The sharding layer's knobs, exactly as
-        :func:`repro.utils.sharding.ingest_sharded` defines them.
+        :func:`repro.utils.sharding.ingest_sharded` defines them.  The
+        three counts are ``None`` or an integer ``>= 1``.
     workers / cluster_secret:
         Distributed-backend worker addresses and transport secret;
         ``None`` defers to the coordinator/transport env registries.
     """
 
-    backend: str = "numpy"
-    device: Optional[str] = None
     table_mode: Optional[str] = None
-    table_block: Optional[int] = None
     execution: str = "serial"
     num_shards: Optional[int] = None
     processes: Optional[int] = None
@@ -105,10 +85,18 @@ class ExecutionConfig:
         default=None, repr=False)
 
     def __post_init__(self):
-        if self.execution not in _EXECUTIONS:
+        if self.execution not in EXECUTION_MODES:
             raise InvalidParameterError(
-                f"execution must be one of {_EXECUTIONS}, "
+                f"execution must be one of {EXECUTION_MODES}, "
                 f"got {self.execution!r}")
+        for name in ("num_shards", "processes", "batch_size"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if (not isinstance(value, numbers.Integral)
+                    or isinstance(value, bool) or value < 1):
+                raise InvalidParameterError(
+                    f"{name} must be None or an integer >= 1, got {value!r}")
         if self.table_mode is not None:
             from repro.utils.table_cache import TABLE_MODES
             if self.table_mode not in TABLE_MODES:
@@ -128,12 +116,6 @@ class ExecutionConfig:
         """
         env = os.environ if env is None else env
         values = {}
-        backend = env.get(BACKEND_ENV, "").strip()
-        if backend:
-            values["backend"] = backend
-        device = env.get(BACKEND_DEVICE_ENV, "").strip()
-        if device:
-            values["device"] = device
         table_mode = env.get(TABLE_MODE_ENV, "").strip()
         if table_mode:
             values["table_mode"] = table_mode
@@ -150,11 +132,6 @@ class ExecutionConfig:
         return cls(**values)
 
     # -- derived views -------------------------------------------------------
-    def resolve_backend(self):
-        """The live :class:`repro.utils.backend.ArrayBackend` instance."""
-        from repro.utils.backend import get_backend
-        return get_backend(self.backend, device=self.device)
-
     def replace(self, **changes) -> "ExecutionConfig":
         return dataclasses.replace(self, **changes)
 
@@ -185,60 +162,3 @@ class ExecutionConfig:
             from repro.utils.coordinator import set_default_workers
             set_default_workers(self.workers or None)
 
-
-# ---------------------------------------------------------------------------
-# Deprecated-kwarg aliases: exactly one warning per call site
-# ---------------------------------------------------------------------------
-
-#: ``(kwarg name, caller file, caller line)`` triples already warned
-#: about.  Keyed by the *call site*, not the callee, so a sampler swept
-#: through the sharding fan-out (hundreds of internal calls per draw
-#: round) warns once where the user wrote the deprecated kwarg instead
-#: of once per shard per retry.
-_WARNED_SITES: set = set()
-
-
-def reset_deprecation_registry() -> None:
-    """Forget which call sites already warned (test isolation hook)."""
-    _WARNED_SITES.clear()
-
-
-def warn_deprecated_kwarg(name: str, replacement: str, *,
-                          stacklevel: int = 3) -> None:
-    """Emit a :class:`DeprecationWarning` once per (kwarg, call site).
-
-    ``stacklevel`` identifies the frame of the *caller of the deprecated
-    API* (default 3: this helper → the deprecated-alias resolution in
-    the callee → the user's call site); both the dedup key and the
-    warning's reported location use that frame.
-    """
-    try:
-        frame = sys._getframe(stacklevel - 1)
-        key = (name, frame.f_code.co_filename, frame.f_lineno)
-    except ValueError:  # shallower stack than expected (exec/embedding)
-        key = (name, "<unknown>", 0)
-    if key in _WARNED_SITES:
-        return
-    _WARNED_SITES.add(key)
-    warnings.warn(
-        f"the {name!r} keyword is deprecated; pass "
-        f"config=ExecutionConfig({replacement}) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit ``None``.
-_MISSING = object()
-
-
-def resolve_legacy_kwarg(value, name: str, replacement: str,
-                         config_value, *, stacklevel: int = 4):
-    """Apply the alias precedence for one deprecated kwarg.
-
-    Explicitly-passed legacy kwarg → warn (per call site) and use it;
-    otherwise the ``config`` field; ``config_value`` already carries the
-    field default when no config was given.
-    """
-    if value is _MISSING:
-        return config_value
-    warn_deprecated_kwarg(name, replacement, stacklevel=stacklevel)
-    return value

@@ -125,8 +125,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.utils.batching import stream_arrays
 from repro.utils.ensemble import ReplicaEnsemble, build_ensemble
-from repro.utils.execution_config import (ExecutionConfig, _MISSING,
-                                          resolve_legacy_kwarg)
+from repro.utils.execution_config import EXECUTION_MODES, ExecutionConfig
 from repro.utils.transport import dumps_frames, frames_as_bytes, loads_frames
 
 __all__ = [
@@ -142,10 +141,6 @@ __all__ = [
     "stream_sharded_ensemble",
 ]
 
-#: Execution back-ends understood by the sharded ingest layer.
-EXECUTION_MODES = ("serial", "threaded", "multiprocessing", "distributed")
-
-
 def usable_cpu_count() -> int:
     """CPUs this process may actually run on (cgroup/affinity aware).
 
@@ -160,13 +155,6 @@ def usable_cpu_count() -> int:
         except OSError:
             pass
     return os.cpu_count() or 1
-
-
-def _require_execution(execution: str) -> str:
-    if execution not in EXECUTION_MODES:
-        raise InvalidParameterError(
-            f"execution must be one of {EXECUTION_MODES}, got {execution!r}")
-    return execution
 
 
 def shard_ranges(total: int, num_shards: int) -> list[tuple[int, int]]:
@@ -379,8 +367,6 @@ def _ingest_shard_frames(frames):
 
 def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
                    *, config: Optional[ExecutionConfig] = None,
-                   execution=_MISSING,
-                   processes=_MISSING,
                    batch_size: Optional[int] = None) -> list[ReplicaEnsemble]:
     """Ingest ``streams[i]`` into ``ensembles[i]``, serially or in parallel.
 
@@ -400,22 +386,17 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
     shard re-dispatches, and when no worker is reachable at all (the run
     degrades to this function's serial loop).
 
-    ``config`` is the preferred way to select the back-end: its
-    ``execution``/``processes``/``batch_size`` fields replace the
-    per-call kwargs (``execution=`` and ``processes=`` remain as
-    deprecated aliases that win when passed explicitly), and its
-    ``workers``/``cluster_secret`` fields scope a
+    ``config`` selects the back-end: its ``execution``/``processes``/
+    ``batch_size`` fields (an explicit ``batch_size`` argument wins), and
+    its ``workers``/``cluster_secret`` fields scope a
     :func:`repro.utils.coordinator.worker_pool` around a distributed
     ingest instead of relying on the process-wide registry.
     """
     cfg = ExecutionConfig() if config is None else config
-    execution = resolve_legacy_kwarg(
-        execution, "execution", "execution=...", cfg.execution)
-    processes = resolve_legacy_kwarg(
-        processes, "processes", "processes=...", cfg.processes)
+    execution = cfg.execution
+    processes = cfg.processes
     if batch_size is None:
         batch_size = cfg.batch_size
-    _require_execution(execution)
     ensembles = list(ensembles)
     streams = _materialise_streams(streams)
     if len(ensembles) != len(streams):
@@ -437,7 +418,7 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
         return distributed_ingest(ensembles, streams, batch_size=batch_size)
     if processes is None:
         processes = usable_cpu_count()
-    processes = max(1, min(int(processes), max(len(ensembles), 1)))
+    processes = min(int(processes), max(len(ensembles), 1))
     # A 1-thread pool is exactly the serial loop, so `threaded` degrades to
     # it for free; `multiprocessing` keeps its 1-worker pool instead — its
     # contract (pickling failures surface, results come back freshly
@@ -482,9 +463,6 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
 
 def replica_sharded_ensemble(instances: Sequence, stream=None, *,
                              config: Optional[ExecutionConfig] = None,
-                             num_shards=_MISSING,
-                             execution=_MISSING,
-                             processes=_MISSING,
                              batch_size: Optional[int] = None) -> ReplicaEnsemble:
     """Mode (a): shard the replica axis, ingest one shared stream, concat.
 
@@ -495,19 +473,10 @@ def replica_sharded_ensemble(instances: Sequence, stream=None, *,
     replica's state and one-shot sample — is bit-identical to building the
     monolithic ensemble directly.
 
-    The shard count and back-end come from ``config``
-    (``num_shards``/``execution``/``processes`` remain as deprecated
-    per-call aliases that win when passed explicitly).
+    The shard count and back-end come from ``config``.
     """
     cfg = ExecutionConfig() if config is None else config
-    num_shards = resolve_legacy_kwarg(
-        num_shards, "num_shards", "num_shards=...", cfg.num_shards)
-    execution = resolve_legacy_kwarg(
-        execution, "execution", "execution=...", cfg.execution)
-    processes = resolve_legacy_kwarg(
-        processes, "processes", "processes=...", cfg.processes)
-    if batch_size is None:
-        batch_size = cfg.batch_size
+    num_shards = cfg.num_shards
     if num_shards is None:
         raise InvalidParameterError(
             "replica sharding needs num_shards (pass config="
@@ -516,23 +485,18 @@ def replica_sharded_ensemble(instances: Sequence, stream=None, *,
     if not instances:
         raise InvalidParameterError("an ensemble needs at least one replica")
     groups = [group for group in shard_replicas(instances, num_shards) if group]
-    ensembles = [build_ensemble(group, config) for group in groups]
+    ensembles = [build_ensemble(group) for group in groups]
     if stream is not None:
-        ensembles = ingest_sharded(
-            ensembles, [stream] * len(ensembles),
-            config=cfg.replace(execution=execution, processes=processes,
-                               batch_size=batch_size))
+        ensembles = ingest_sharded(ensembles, [stream] * len(ensembles),
+                                   config=cfg, batch_size=batch_size)
     return concat_ensembles(ensembles)
 
 
 def stream_sharded_ensemble(factory: Callable[[int], object],
                             seeds: Iterable[int], stream, *,
                             config: Optional[ExecutionConfig] = None,
-                            num_shards=_MISSING,
                             assignment: Optional[np.ndarray] = None,
                             assignment_seed: int = 0,
-                            execution=_MISSING,
-                            processes=_MISSING,
                             batch_size: Optional[int] = None) -> ReplicaEnsemble:
     """Mode (b): shard the stream by coordinate, ingest copies, merge.
 
@@ -546,21 +510,14 @@ def stream_sharded_ensemble(factory: Callable[[int], object],
     follow the monolithic draw sequence.
 
     ``assignment`` (a length-``n`` coordinate-to-shard array) may be given
-    directly; otherwise it is derived from ``num_shards`` and
+    directly; otherwise it is derived from ``config.num_shards`` and
     ``assignment_seed`` via the vectorised
     :func:`repro.applications.distributed.shard_assignment` oracle.
     """
     from repro.applications.distributed import shard_assignment, split_stream
 
     cfg = ExecutionConfig() if config is None else config
-    num_shards = resolve_legacy_kwarg(
-        num_shards, "num_shards", "num_shards=...", cfg.num_shards)
-    execution = resolve_legacy_kwarg(
-        execution, "execution", "execution=...", cfg.execution)
-    processes = resolve_legacy_kwarg(
-        processes, "processes", "processes=...", cfg.processes)
-    if batch_size is None:
-        batch_size = cfg.batch_size
+    num_shards = cfg.num_shards
     seeds = list(seeds)
     if not seeds:
         raise InvalidParameterError("an ensemble needs at least one replica")
@@ -583,53 +540,36 @@ def stream_sharded_ensemble(factory: Callable[[int], object],
                 f"[{int(assignment.min())}, {int(assignment.max())}]")
     substreams = split_stream(stream, assignment, num_shards)
     with cfg.table_mode_scope():
-        ensembles = [build_ensemble([factory(seed) for seed in seeds], config)
+        ensembles = [build_ensemble([factory(seed) for seed in seeds])
                      for _ in range(num_shards)]
-    ensembles = ingest_sharded(
-        ensembles, substreams,
-        config=cfg.replace(execution=execution, processes=processes,
-                           batch_size=batch_size))
+    ensembles = ingest_sharded(ensembles, substreams, config=cfg,
+                               batch_size=batch_size)
     # The distributed coordinator may retain shard ensembles (re-dispatch
     # bookkeeping, gather stats); merge into a clone so they stay pristine.
     return merge_ensembles(ensembles,
-                           copy_first=(execution == "distributed"))
+                           copy_first=(cfg.execution == "distributed"))
 
 
 def sharded_ensemble_samples(factory: Callable[[int], object],
                              seeds: Iterable[int], stream=None, *,
                              config: Optional[ExecutionConfig] = None,
-                             num_shards=_MISSING,
-                             execution=_MISSING,
-                             processes=_MISSING,
                              batch_size: Optional[int] = None) -> list:
     """Sharded drop-in for :func:`repro.utils.ensemble.ensemble_samples`.
 
     Builds the ``len(seeds)`` replicas, drives them replica-sharded across
-    ``num_shards`` workers (default: the worker count, else the CPU count),
-    and returns the per-replica one-shot samples in seed order —
-    bit-identical to the monolithic engine and hence to the sequential
-    construct/replay/sample loop.  ``config`` carries the knobs; the
-    per-call kwargs remain as deprecated aliases.
+    ``config.num_shards`` workers (default: ``config.processes``, else the
+    CPU count), and returns the per-replica one-shot samples in seed order
+    — bit-identical to the monolithic engine and hence to the sequential
+    construct/replay/sample loop.
     """
     cfg = ExecutionConfig() if config is None else config
-    num_shards = resolve_legacy_kwarg(
-        num_shards, "num_shards", "num_shards=...", cfg.num_shards)
-    execution = resolve_legacy_kwarg(
-        execution, "execution", "execution=...", cfg.execution)
-    processes = resolve_legacy_kwarg(
-        processes, "processes", "processes=...", cfg.processes)
-    if batch_size is None:
-        batch_size = cfg.batch_size
-    _require_execution(execution)
     with cfg.table_mode_scope():
         instances = [factory(seed) for seed in seeds]
     if not instances:
         return []
-    if num_shards is None:
-        num_shards = processes if processes else usable_cpu_count()
-    num_shards = max(1, min(int(num_shards), len(instances)))
+    num_shards = cfg.num_shards or cfg.processes or usable_cpu_count()
+    num_shards = min(int(num_shards), len(instances))
     ensemble = replica_sharded_ensemble(
-        instances, stream,
-        config=cfg.replace(num_shards=num_shards, execution=execution,
-                           processes=processes, batch_size=batch_size))
+        instances, stream, config=cfg.replace(num_shards=num_shards),
+        batch_size=batch_size)
     return ensemble.replica_samples()

@@ -11,12 +11,12 @@ snapshot is covered by a CRC, and any single-byte corruption or
 truncation is refused with :class:`SnapshotError` instead of surfacing
 as a pickle error or a silently wrong object.
 
-Snapshot format version 1 (integers big-endian)::
+Snapshot format version 2 (integers big-endian)::
 
     MAGIC (4s = b"RSNP") | FORMAT_VERSION (B) | header_crc32 (I)
     then one transport wire message (:func:`repro.utils.transport.encode_frames`):
         frame 0:  UTF-8 JSON metadata {"format": "repro-snapshot",
-                  "snapshot_version": 1, "class": "<module>.<qualname>",
+                  "snapshot_version": 2, "class": "<module>.<qualname>",
                   "extra": {...caller metadata...}}
         frame 1:  pickle protocol-5 body of the object
         frames 2+: out-of-band pickle buffers (large numpy state)
@@ -30,6 +30,10 @@ Snapshot format version 1 (integers big-endian)::
     Frames may be zlib-compressed per the transport flags byte; the
     decompressed size is bounded before decompression (zip-bomb guard
     inherited from the transport).
+
+    Version 2 differs from version 1 only in the pickled objects:
+    version-1 ensembles reference the deleted array-backend module, so
+    the header check refuses them before anything is unpickled.
 
 Incremental checkpointing
     Snapshots compose through the ``merge`` protocol: linear-sketch state
@@ -87,7 +91,7 @@ __all__ = [
 ]
 
 #: On-disk format version emitted and accepted by this build.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _MAGIC = b"RSNP"  # "repro snapshot"
 _PREFIX = struct.Struct(">4sB")       # magic, format version

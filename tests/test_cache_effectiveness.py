@@ -28,6 +28,7 @@ from repro.streams.generators import (
     zipfian_frequency_vector,
 )
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import (
     _shard_payloads,
     replica_sharded_ensemble,
@@ -70,7 +71,8 @@ def test_stream_sharded_copies_evaluate_each_table_once(stream) -> None:
     """
     ensemble = stream_sharded_ensemble(
         lambda seed: CountSketch(N, 16, 5, seed=seed, table_mode="cached"),
-        range(REPLICAS), stream, num_shards=SHARDS, execution="serial")
+        range(REPLICAS), stream,
+        config=ExecutionConfig(num_shards=SHARDS, execution="serial"))
     stats = cache_stats()
     # One concatenated bucket-family table + one sign-family table.
     assert stats.misses == 2
@@ -86,7 +88,8 @@ def test_replica_sharded_shards_have_disjoint_tables(stream) -> None:
     instances = [CountSketch(N, 16, 5, seed=s, table_mode="cached")
                  for s in range(REPLICAS)]
     ensemble = replica_sharded_ensemble(
-        instances, stream, num_shards=3, execution="serial")
+        instances, stream,
+        config=ExecutionConfig(num_shards=3, execution="serial"))
     stats = cache_stats()
     assert stats.misses == 2 * 3  # bucket + sign per shard ensemble
     assert stats.hits == 0
@@ -171,11 +174,13 @@ def test_eviction_only_costs_reevaluation_in_sharded_runs(stream) -> None:
     performance event."""
     factory = lambda seed: CountSketch(N, 16, 5, seed=seed, table_mode="cached")
     unbounded = stream_sharded_ensemble(
-        factory, range(4), stream, num_shards=3, execution="serial")
+        factory, range(4), stream,
+        config=ExecutionConfig(num_shards=3, execution="serial"))
     cache_clear()
     set_cache_budget(0)  # every lookup misses and bypasses storage
     starved = stream_sharded_ensemble(
-        factory, range(4), stream, num_shards=3, execution="serial")
+        factory, range(4), stream,
+        config=ExecutionConfig(num_shards=3, execution="serial"))
     stats = cache_stats()
     assert stats.hits == 0
     assert stats.oversize > 0

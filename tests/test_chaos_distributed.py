@@ -52,6 +52,7 @@ from repro.utils.coordinator import (
     worker_pool,
 )
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import replica_sharded_ensemble
 from repro.utils.transport import AuthenticationError
 
@@ -124,7 +125,7 @@ def _serial_reference(case, stream):
     """
     return replica_sharded_ensemble(
         [case.factory(seed) for seed in range(STREAM_REPLICAS)], stream,
-        num_shards=3, execution="serial")
+        config=ExecutionConfig(num_shards=3, execution="serial"))
 
 
 def _run_under_schedule(case, stream, workers, spec, **pool_kwargs):
@@ -143,7 +144,8 @@ def _run_under_schedule(case, stream, workers, spec, **pool_kwargs):
                          **pool_kwargs) as executor:
             distributed = replica_sharded_ensemble(
                 [case.factory(seed) for seed in range(STREAM_REPLICAS)],
-                stream, num_shards=3, execution="distributed")
+                stream,
+                config=ExecutionConfig(num_shards=3, execution="distributed"))
     return serial, distributed, executor.last_stats
 
 

@@ -67,6 +67,7 @@ from repro.utils.coordinator import (
     worker_pool,
 )
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import (
     EXECUTION_MODES,
     replica_sharded_ensemble,
@@ -303,11 +304,11 @@ def test_replica_sharded_distributed_matches_serial(case, stream,
     """Socket-worker execution never changes a bit of any replica's output."""
     serial = replica_sharded_ensemble(
         [case.factory(seed) for seed in range(STREAM_REPLICAS)], stream,
-        num_shards=3, execution="serial")
+        config=ExecutionConfig(num_shards=3, execution="serial"))
     with worker_pool(workers) as executor:
         distributed = replica_sharded_ensemble(
             [case.factory(seed) for seed in range(STREAM_REPLICAS)], stream,
-            num_shards=3, execution="distributed")
+            config=ExecutionConfig(num_shards=3, execution="distributed"))
     assert type(distributed) is type(serial)
     stats = executor.last_stats
     assert stats.shards == 3 and stats.reachable_workers == 2
@@ -334,11 +335,14 @@ def test_stream_sharded_distributed_matches_serial(stream, workers) -> None:
     for factory in (lambda s: CountSketch(N, 16, 5, seed=s),
                     lambda s: PStableSketch(N, 1.0, num_rows=24, seed=s)):
         serial = stream_sharded_ensemble(
-            factory, range(4), stream, num_shards=3, assignment_seed=29)
+            factory, range(4), stream,
+            config=ExecutionConfig(num_shards=3),
+            assignment_seed=29)
         with worker_pool(workers):
             distributed = stream_sharded_ensemble(
-                factory, range(4), stream, num_shards=3, assignment_seed=29,
-                execution="distributed")
+                factory, range(4), stream,
+                config=ExecutionConfig(num_shards=3, execution="distributed"),
+                assignment_seed=29)
         serial_state = getattr(serial, "_table", None)
         if serial_state is None:
             serial_state, dist_state = serial._state, distributed._state
@@ -358,7 +362,8 @@ def test_distribution_harness_distributed_is_draw_identical(stream,
     with worker_pool(workers):
         distributed = evaluate_sampler_distribution(
             factory, stream, lp_target_weights(vector, 2.0), num_draws=16,
-            max_attempts_per_draw=2, execution="distributed", num_shards=3)
+            max_attempts_per_draw=2,
+            config=ExecutionConfig(num_shards=3, execution="distributed"))
     assert serial.num_draws == distributed.num_draws
     assert serial.num_failures == distributed.num_failures
     np.testing.assert_array_equal(serial.empirical, distributed.empirical)
@@ -383,8 +388,8 @@ def test_bulk_samples_distributed_matches_serial(workers) -> None:
 
     serial = build().bulk_samples(bulk_stream, 24)
     with worker_pool(workers):
-        distributed = build().bulk_samples(bulk_stream, 24,
-                                           execution="distributed")
+        distributed = build().bulk_samples(
+            bulk_stream, 24, config=ExecutionConfig(execution="distributed"))
     assert len(distributed) == len(serial)
     for position, (left, right) in enumerate(zip(serial, distributed)):
         assert (left is None) == (right is None), position
@@ -428,7 +433,9 @@ def _exact_estimator_factory(shard: int, seed: int) -> _MomentEstimator:
 def _serial_reference(stream):
     factory = lambda s: CountSketch(N, 16, 5, seed=s)  # noqa: E731
     return factory, stream_sharded_ensemble(
-        factory, range(4), stream, num_shards=4, assignment_seed=41)
+        factory, range(4), stream,
+        config=ExecutionConfig(num_shards=4),
+        assignment_seed=41)
 
 
 def test_worker_killed_mid_ingest_redispatches(stream) -> None:
@@ -445,8 +452,10 @@ def test_worker_killed_mid_ingest_redispatches(stream) -> None:
         try:
             with worker_pool(healthy_addrs + victim_addrs) as executor:
                 distributed = stream_sharded_ensemble(
-                    factory, range(4), stream, num_shards=4,
-                    assignment_seed=41, execution="distributed")
+                    factory, range(4), stream,
+                    config=ExecutionConfig(num_shards=4,
+                                           execution="distributed"),
+                    assignment_seed=41)
         finally:
             killer.cancel()
     finally:
@@ -479,8 +488,9 @@ def test_connection_dropped_mid_frame_redispatches(stream) -> None:
     try:
         with worker_pool([faulty] + healthy_addrs) as executor:
             distributed = stream_sharded_ensemble(
-                factory, range(4), stream, num_shards=4,
-                assignment_seed=41, execution="distributed")
+                factory, range(4), stream,
+                config=ExecutionConfig(num_shards=4, execution="distributed"),
+                assignment_seed=41)
     finally:
         stop_local_workers(healthy_procs)
     stats = executor.last_stats
@@ -503,8 +513,9 @@ def test_worker_stalled_past_heartbeat_redispatches(stream) -> None:
         with worker_pool([faulty] + healthy_addrs,
                          heartbeat_timeout=1.0) as executor:
             distributed = stream_sharded_ensemble(
-                factory, range(4), stream, num_shards=4,
-                assignment_seed=41, execution="distributed")
+                factory, range(4), stream,
+                config=ExecutionConfig(num_shards=4, execution="distributed"),
+                assignment_seed=41)
     finally:
         stop_local_workers(healthy_procs)
     stats = executor.last_stats
@@ -522,8 +533,9 @@ def test_no_reachable_workers_degrades_to_serial(stream) -> None:
     probe.close()
     with worker_pool([unreachable]) as executor:
         distributed = stream_sharded_ensemble(
-            factory, range(4), stream, num_shards=4,
-            assignment_seed=41, execution="distributed")
+            factory, range(4), stream,
+            config=ExecutionConfig(num_shards=4, execution="distributed"),
+            assignment_seed=41)
     stats = executor.last_stats
     assert stats.reachable_workers == 0
     assert stats.degraded_serial_shards == stats.shards == 4
@@ -538,8 +550,9 @@ def test_no_registered_workers_degrades_to_serial(stream, monkeypatch) -> None:
     assert default_workers() == []
     factory, serial = _serial_reference(stream)
     distributed = stream_sharded_ensemble(
-        factory, range(4), stream, num_shards=4, assignment_seed=41,
-        execution="distributed")
+        factory, range(4), stream,
+        config=ExecutionConfig(num_shards=4, execution="distributed"),
+        assignment_seed=41)
     np.testing.assert_array_equal(serial._table, distributed._table)
     assert last_gather_stats().degraded_serial_shards == 4
 
@@ -566,8 +579,9 @@ def test_spare_slots_observed_in_stats(stream, workers) -> None:
     factory, serial = _serial_reference(stream)
     with worker_pool(workers, failure_rate_prior=0.5) as executor:
         distributed = stream_sharded_ensemble(
-            factory, range(4), stream, num_shards=4, assignment_seed=41,
-            execution="distributed")
+            factory, range(4), stream,
+            config=ExecutionConfig(num_shards=4, execution="distributed"),
+            assignment_seed=41)
     stats = executor.last_stats
     assert stats.spare_slots == min(3, math.ceil(0.5 * 4 * RETRY_SPARE_MARGIN))
     assert stats.spare_slots > 0

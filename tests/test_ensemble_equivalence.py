@@ -30,6 +30,7 @@ from repro.samplers.precision_sampling import (
     PrecisionLpSamplerEnsemble,
 )
 from repro.sketch.ams import AMSEnsemble, AMSSketch
+from repro.sketch.countmin import CountMin, CountMinEnsemble
 from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
 from repro.sketch.distinct import RoughL0Estimator
 from repro.sketch.fp_estimator import FpEstimatorEnsemble, MaxStabilityFpEstimator
@@ -131,6 +132,18 @@ def _countsketch_ensemble_queries(ens, r) -> np.ndarray:
     ])
 
 
+def _countmin_solo_queries(inst) -> np.ndarray:
+    """``estimate_all`` and every point query of a standalone CountMin."""
+    return np.stack([inst.estimate_all(),
+                     [inst.estimate(index) for index in range(N)]])
+
+
+def _countmin_ensemble_queries(ens, r) -> np.ndarray:
+    """The matching per-member CountMin ensemble queries."""
+    return np.stack([ens.estimate_all_member(r),
+                     [ens.estimate_member(r, index) for index in range(N)]])
+
+
 CASES = [
     Case(
         "countsketch",
@@ -140,6 +153,15 @@ CASES = [
         lambda ens, r: {"table": ens._table[r]},
         _countsketch_solo_queries,
         _countsketch_ensemble_queries,
+    ),
+    Case(
+        "countmin",
+        lambda s: CountMin(N, buckets=16, rows=5, seed=s),
+        CountMinEnsemble,
+        lambda inst: {"table": inst._table},
+        lambda ens, r: {"table": ens._table[r]},
+        _countmin_solo_queries,
+        _countmin_ensemble_queries,
     ),
     Case(
         "ams",

@@ -120,7 +120,6 @@ class TestSpaceModel:
 
 
 class TestTable1:
-    @pytest.mark.slow
     def test_regenerated_table_shape_and_quality(self):
         rows = regenerate_table1(n=40, draws=60, seed=3)
         names = [row.sampler for row in rows]

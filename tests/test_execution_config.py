@@ -1,10 +1,10 @@
-"""ExecutionConfig: env precedence, validation, and deprecated aliases.
+"""ExecutionConfig: env precedence, validation, and what never leaks.
 
 The precedence contract (module docstring of
-:mod:`repro.utils.execution_config`) is ``explicit argument >
-environment > default``, and the deprecated per-call kwargs warn exactly
-once per *call site* — not once per internal fan-out call — which this
-suite pins with ``pytest.warns`` plus an explicit warning count.
+:mod:`repro.utils.execution_config`) is ``explicit field > environment >
+default``.  A config is consumed where work is scheduled and never kept
+by an ensemble, so its ``cluster_secret`` cannot reach a snapshot or a
+worker payload; this suite pins that with a byte search of the pickle.
 """
 
 from __future__ import annotations
@@ -15,31 +15,22 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.cap_sampler import CapSampler
 from repro.exceptions import InvalidParameterError
-from repro.samplers.l0_sampler import PerfectL0Sampler
 from repro.sketch.countsketch import CountSketch
 from repro.streams.generators import stream_from_vector
-from repro.utils.backend import NumpyBackend
+from repro.utils import sharding
 from repro.utils.execution_config import (
-    BACKEND_DEVICE_ENV,
-    BACKEND_ENV,
+    EXECUTION_MODES,
     ExecutionConfig,
     TABLE_MODE_ENV,
-    reset_deprecation_registry,
 )
 from repro.utils.sharding import (
     ingest_sharded,
     replica_sharded_ensemble,
-    sharded_ensemble_samples,
+    stream_sharded_ensemble,
 )
 from repro.utils.ensemble import build_ensemble
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_registry():
-    reset_deprecation_registry()
-    yield
-    reset_deprecation_registry()
 
 
 @pytest.fixture()
@@ -58,10 +49,8 @@ def _sketches(count=4, seed0=0):
 
 def test_defaults_are_numpy_serial() -> None:
     config = ExecutionConfig()
-    assert config.backend == "numpy"
     assert config.execution == "serial"
     assert config.table_mode is None
-    assert isinstance(config.resolve_backend(), NumpyBackend)
 
 
 def test_invalid_execution_and_table_mode_rejected() -> None:
@@ -71,28 +60,41 @@ def test_invalid_execution_and_table_mode_rejected() -> None:
         ExecutionConfig(table_mode="imaginary")
 
 
+def test_one_list_of_execution_modes() -> None:
+    assert sharding.EXECUTION_MODES is EXECUTION_MODES
+    with pytest.raises(InvalidParameterError, match="execution"):
+        ExecutionConfig(execution="sharded")
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.5])
+@pytest.mark.parametrize("field", ["num_shards", "processes", "batch_size"])
+def test_counts_must_be_integers_of_at_least_one(field, value) -> None:
+    with pytest.raises(InvalidParameterError, match=field):
+        ExecutionConfig(**{field: value})
+
+
+def test_counts_accept_numpy_integers() -> None:
+    assert ExecutionConfig(num_shards=np.int64(3)).num_shards == 3
+
+
 def test_from_env_reads_all_variables() -> None:
     env = {
-        BACKEND_ENV: "numpy",
-        BACKEND_DEVICE_ENV: "cpu",
         TABLE_MODE_ENV: "blocked",
         "REPRO_DISTRIBUTED_WORKERS": "127.0.0.1:9001, 127.0.0.1:9002",
         "REPRO_CLUSTER_SECRET": "hunter2",
     }
     config = ExecutionConfig.from_env(env)
-    assert config.backend == "numpy"
-    assert config.device == "cpu"
     assert config.table_mode == "blocked"
     assert config.workers == ("127.0.0.1:9001", "127.0.0.1:9002")
     assert config.cluster_secret == "hunter2"
 
 
 def test_from_env_explicit_overrides_beat_environment() -> None:
-    env = {BACKEND_ENV: "torch", TABLE_MODE_ENV: "blocked"}
-    config = ExecutionConfig.from_env(env, backend="numpy",
-                                      table_mode="cached")
-    assert config.backend == "numpy"
+    env = {TABLE_MODE_ENV: "blocked", "REPRO_CLUSTER_SECRET": "hunter2"}
+    config = ExecutionConfig.from_env(env, table_mode="cached",
+                                      cluster_secret="explicit")
     assert config.table_mode == "cached"
+    assert config.cluster_secret == "explicit"
 
 
 def test_from_env_empty_environment_is_all_defaults() -> None:
@@ -102,7 +104,7 @@ def test_from_env_empty_environment_is_all_defaults() -> None:
 def test_config_is_frozen_hashable_picklable() -> None:
     config = ExecutionConfig(table_mode="blocked", num_shards=3)
     with pytest.raises(Exception):
-        config.backend = "torch"  # type: ignore[misc]
+        config.execution = "threaded"  # type: ignore[misc]
     assert pickle.loads(pickle.dumps(config)) == config
     assert hash(config) == hash(config.replace())
     assert config.replace(num_shards=5).num_shards == 5
@@ -134,7 +136,7 @@ def test_table_mode_scope_applies_and_restores() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Config threading and deprecated aliases
+# Config threading, and what an ensemble keeps of it
 # ---------------------------------------------------------------------------
 
 
@@ -149,46 +151,34 @@ def test_config_drives_sharding_without_warnings(stream) -> None:
     np.testing.assert_array_equal(ensemble._table, baseline._table)
 
 
-def test_legacy_kwarg_wins_over_config_and_warns(stream) -> None:
-    config = ExecutionConfig(num_shards=1)
-    with pytest.warns(DeprecationWarning, match="num_shards"):
-        sharded = replica_sharded_ensemble(_sketches(), stream,
-                                           config=config, num_shards=3)
-    baseline = build_ensemble(_sketches())
-    baseline.update_stream(stream)
-    np.testing.assert_array_equal(sharded._table, baseline._table)
+#: Marker standing in for a cluster secret; its bytes must never appear
+#: in the pickle of an ensemble built under a config that carries it.
+SECRET_MARKER = "cluster-secret-marker-5f0c1e"
 
 
-@pytest.mark.filterwarnings("error::DeprecationWarning")
-def test_deprecated_kwarg_warns_exactly_once_per_call_site(stream) -> None:
-    """The fan-out (shards × draws) must not multiply the warning.
-
-    ``filterwarnings("error")`` outside the recording block proves no
-    stray warning escapes anywhere else in the pipeline; the recording
-    block shows the loop of 5 identical call-site invocations produced
-    exactly one warning.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(5):
-            samples = sharded_ensemble_samples(
-                lambda s: PerfectL0Sampler(5, sparsity=4, seed=s),
-                range(4), stream, num_shards=2)
-        assert len(samples) == 4
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "num_shards" in str(deprecations[0].message)
+def _ensemble_built_under(how: str, config: ExecutionConfig, stream):
+    if how == "build_ensemble":
+        with config.table_mode_scope():
+            return build_ensemble(_sketches())
+    if how == "replica_sharded":
+        return replica_sharded_ensemble(_sketches(), stream, config=config)
+    if how == "stream_sharded":
+        return stream_sharded_ensemble(
+            lambda seed: CountSketch(5, 8, 3, seed=seed), range(4), stream,
+            config=config)
+    assert how == "sampler_fallback"
+    return replica_sharded_ensemble(
+        [CapSampler(5, 9.0, 2.0, seed=seed, num_repetitions=4)
+         for seed in range(4)], stream, config=config)
 
 
-def test_distinct_call_sites_each_warn_once(stream) -> None:
-    ensembles = [build_ensemble(_sketches())]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ingest_sharded(ensembles, [stream], execution="serial")   # site A
-        ingest_sharded(ensembles, [stream], execution="serial")   # site B
-        for _ in range(3):
-            ingest_sharded(ensembles, [stream], execution="serial")  # site C
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 3
+@pytest.mark.parametrize("how", ["build_ensemble", "replica_sharded",
+                                 "stream_sharded", "sampler_fallback"])
+def test_ensemble_pickle_never_carries_the_cluster_secret(how,
+                                                          stream) -> None:
+    """The pickle is the body of a snapshot and of a worker payload."""
+    config = ExecutionConfig(num_shards=2, cluster_secret=SECRET_MARKER)
+    ensemble = _ensemble_built_under(how, config, stream)
+    assert ensemble.num_replicas == 4
+    payload = pickle.dumps(ensemble, protocol=5)
+    assert SECRET_MARKER.encode() not in payload

@@ -29,6 +29,7 @@ from repro.sketch.distinct import RoughL0Estimator
 from repro.sketch.sparse_recovery import KSparseRecovery
 from repro.streams.stream import TurnstileStream
 from repro.utils.ensemble import LevelStackEnsemble, build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import merge_ensembles, stream_sharded_ensemble
 
 N = 48
@@ -83,7 +84,8 @@ def test_stream_sharded_level_stacks_match_monolithic(
 
         merged = stream_sharded_ensemble(
             factory, range(REPLICAS), integer_stream,
-            assignment=assignment, num_shards=num_shards)
+            assignment=assignment,
+            config=ExecutionConfig(num_shards=num_shards))
         assert type(merged) is LevelStackEnsemble
         for replica in range(REPLICAS):
             context = f"{name}[shards={num_shards}][{replica}]"
@@ -100,7 +102,7 @@ def test_stream_sharded_level_stacks_match_interleaved_order(
     monolithic.update_stream(integer_stream)
     merged = stream_sharded_ensemble(
         factory, range(REPLICAS), integer_stream,
-        assignment=assignment, num_shards=3)
+        assignment=assignment, config=ExecutionConfig(num_shards=3))
     for replica in range(REPLICAS):
         assert_level_stacks_equal(monolithic.replicas[replica],
                                   merged.replicas[replica], f"{name}[{replica}]")

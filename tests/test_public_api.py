@@ -1,15 +1,12 @@
 """The curated top-level public API: importable, stable, and honest.
 
 ``repro.__all__`` is the supported surface.  This suite asserts every
-listed name resolves, the new backend/config names are present, the
-deprecated process-wide mutators still resolve (through the PEP 562
-module ``__getattr__``) but warn, and unknown attributes raise a plain
-``AttributeError`` — so typos do not silently produce ``None``.
+listed name resolves, the config names are present, and unknown
+attributes raise a plain ``AttributeError`` — so typos do not silently
+produce ``None``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -30,16 +27,8 @@ CORE_SURFACE = {
     # streams + snapshots + service
     "TurnstileStream", "stream_from_vector", "save_snapshot", "load_snapshot",
     "SamplerService", "spawn_service",
-    # execution config + array backends (new in this release)
-    "ExecutionConfig", "ArrayBackend", "NumpyBackend",
-    "BackendUnavailableError", "available_backends", "get_backend",
-    "register_backend", "CountMinEnsemble",
-}
-
-DEPRECATED_TOP_LEVEL = {
-    "set_default_workers",
-    "set_default_table_mode",
-    "default_table_mode",
+    # execution config
+    "ExecutionConfig", "CountMinEnsemble",
 }
 
 
@@ -48,12 +37,8 @@ def test_all_names_unique_and_sorted_sections() -> None:
 
 
 def test_every_public_name_is_importable() -> None:
-    with warnings.catch_warnings():
-        # Deprecated names legitimately warn on access; everything else
-        # must resolve silently.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        missing = [name for name in repro.__all__
-                   if getattr(repro, name, None) is None]
+    missing = [name for name in repro.__all__
+               if getattr(repro, name, None) is None]
     assert not missing, f"public names failed to resolve: {missing}"
 
 
@@ -62,30 +47,15 @@ def test_core_surface_is_present() -> None:
     assert not absent, f"core public names missing from __all__: {absent}"
 
 
-def test_deprecated_names_stay_in_all() -> None:
-    absent = sorted(DEPRECATED_TOP_LEVEL - set(repro.__all__))
-    assert not absent, f"deprecated names dropped from __all__: {absent}"
-
-
-@pytest.mark.parametrize("name", sorted(DEPRECATED_TOP_LEVEL))
-def test_deprecated_top_level_names_warn_but_work(name) -> None:
-    with pytest.warns(DeprecationWarning, match=name):
-        resolved = getattr(repro, name)
-    assert callable(resolved)
-    # The shim forwards to the real implementation, not a copy.
-    module_name, _ = repro._DEPRECATED_TOP_LEVEL[name]
-    import importlib
-    assert resolved is getattr(importlib.import_module(module_name), name)
-
-
 def test_unknown_attribute_raises_attribute_error() -> None:
     with pytest.raises(AttributeError, match="no attribute"):
         repro.definitely_not_a_public_name  # noqa: B018
 
 
 def test_module_docstring_documents_backends() -> None:
+    """The execution back-ends are documented on the config."""
     assert "ExecutionConfig" in repro.__doc__
-    assert "ArrayBackend" in repro.__doc__
+    assert 'execution="threaded"' in repro.__doc__
 
 
 def test_quickstart_doctests_run() -> None:

@@ -67,7 +67,6 @@ class TestTrulyPerfectGSampler:
             if draw is not None:
                 assert draw.index in support
 
-    @pytest.mark.slow
     def test_distribution_matches_log_target(self):
         vector = np.array([30.0, 1.0, 0.0, 8.0, 2.0, 0.0, 15.0, 4.0])
         stream = insertion_only_stream(vector, seed=11)
@@ -142,7 +141,6 @@ class TestExponentialRaceSampler:
         with pytest.raises(InvalidParameterError):
             a.merge(b)
 
-    @pytest.mark.slow
     def test_distribution_matches_soft_cap_target(self):
         vector = np.array([25.0, 2.0, 0.0, 9.0, 1.0, 0.0, 14.0, 6.0])
         stream = insertion_only_stream(vector, seed=13)
@@ -158,7 +156,6 @@ class TestExponentialRaceSampler:
         empirical = counts / counts.sum()
         assert total_variation_distance(empirical, target) < 0.08
 
-    @pytest.mark.slow
     def test_distribution_matches_l1_target(self):
         vector = np.array([40.0, 5.0, 0.0, 10.0, 3.0, 2.0, 0.0, 20.0])
         stream = insertion_only_stream(vector, seed=17)

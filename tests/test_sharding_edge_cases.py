@@ -33,6 +33,7 @@ from repro.utils.ensemble import (
     SamplerEnsemble,
     build_ensemble,
 )
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import (
     concat_ensembles,
     ingest_sharded,
@@ -78,15 +79,16 @@ class TestDegenerateReplicaCounts:
         with pytest.raises(InvalidParameterError):
             build_ensemble([])
         with pytest.raises(InvalidParameterError):
-            replica_sharded_ensemble([], num_shards=2)
+            replica_sharded_ensemble([], config=ExecutionConfig(num_shards=2))
         with pytest.raises(InvalidParameterError):
             stream_sharded_ensemble(lambda s: CountSketch(N, 8, 3, seed=s),
-                                    [], TurnstileStream(N), num_shards=2)
+                                    [], TurnstileStream(N),
+                                    config=ExecutionConfig(num_shards=2))
 
     def test_empty_seed_list_yields_no_samples(self, stream):
         assert sharded_ensemble_samples(
             lambda s: JW18LpSampler(N, 2.0, seed=s), [], stream,
-            num_shards=2) == []
+            config=ExecutionConfig(num_shards=2)) == []
 
     def test_single_replica_survives_any_shard_count(self, stream):
         solo = JW18LpSampler(N, 2.0, seed=3)
@@ -94,7 +96,8 @@ class TestDegenerateReplicaCounts:
         expected = solo.sample()
         for num_shards in (1, 4):
             merged = replica_sharded_ensemble(
-                [JW18LpSampler(N, 2.0, seed=3)], stream, num_shards=num_shards)
+                [JW18LpSampler(N, 2.0, seed=3)], stream,
+                config=ExecutionConfig(num_shards=num_shards))
             assert isinstance(merged, JW18LpSamplerEnsemble)
             assert merged.num_replicas == 1
             drawn = merged.sample_replica(0)
@@ -106,7 +109,7 @@ class TestDegenerateReplicaCounts:
     def test_more_shards_than_replicas_skips_empty_shards(self, stream):
         merged = replica_sharded_ensemble(
             [PStableSketch(N, 1.0, num_rows=12, seed=s) for s in range(3)],
-            stream, num_shards=9)
+            stream, config=ExecutionConfig(num_shards=9))
         assert isinstance(merged, PStableEnsemble)
         assert merged.num_replicas == 3
         solo = PStableSketch(N, 1.0, num_rows=12, seed=1)
@@ -122,7 +125,7 @@ class TestEmptyStreams:
         monolithic.update_stream(empty)
         merged = replica_sharded_ensemble(
             [JW18LpSampler(N, 2.0, seed=s) for s in range(4)], empty,
-            num_shards=2)
+            config=ExecutionConfig(num_shards=2))
         for replica in range(4):
             assert monolithic.sample_replica(replica) is None
             assert merged.sample_replica(replica) is None
@@ -131,7 +134,7 @@ class TestEmptyStreams:
         empty = TurnstileStream(N)
         merged = stream_sharded_ensemble(
             lambda s: CountSketch(N, 8, 3, seed=s), range(3), empty,
-            num_shards=2)
+            config=ExecutionConfig(num_shards=2))
         assert isinstance(merged, CountSketchEnsemble)
         assert not merged._table.any()
 
@@ -146,7 +149,9 @@ class TestEmptyStreams:
         for execution in ("serial", "multiprocessing"):
             merged = replica_sharded_ensemble(
                 [AMSSketch(N, width=4, depth=2, seed=s) for s in range(4)],
-                iter(updates), num_shards=2, execution=execution, processes=2)
+                iter(updates),
+                config=ExecutionConfig(num_shards=2, execution=execution,
+                                       processes=2))
             np.testing.assert_array_equal(monolithic._counters, merged._counters)
             np.testing.assert_array_equal(monolithic._num_updates,
                                           merged._num_updates)
@@ -160,7 +165,7 @@ class TestEmptyStreams:
         monolithic.update_stream(stream)
         merged = stream_sharded_ensemble(
             lambda s: CountSketch(N, 8, 3, seed=s), range(3), stream,
-            assignment=assignment, num_shards=3)
+            assignment=assignment, config=ExecutionConfig(num_shards=3))
         np.testing.assert_array_equal(monolithic._table, merged._table)
 
 
@@ -264,15 +269,17 @@ class TestExecutionValidation:
     def test_unknown_execution_mode_raises(self, stream):
         with pytest.raises(InvalidParameterError):
             ingest_sharded([build_ensemble([CountSketch(N, 8, 3, seed=0)])],
-                           [stream], execution="threads")
+                           [stream],
+                           config=ExecutionConfig(execution="threads"))
         with pytest.raises(InvalidParameterError):
             sharded_ensemble_samples(
                 lambda s: JW18LpSampler(N, 2.0, seed=s), range(2), stream,
-                num_shards=2, execution="bogus")
+                config=ExecutionConfig(num_shards=2, execution="bogus"))
         with pytest.raises(InvalidParameterError):
             evaluate_sampler_distribution(
                 lambda s: PrecisionLpSampler(N, 2.0, epsilon=0.5, seed=s),
-                stream, np.ones(N), num_draws=2, execution="bogus")
+                stream, np.ones(N), num_draws=2,
+                config=ExecutionConfig(execution="bogus"))
 
     def test_mismatched_shard_and_stream_counts_raise(self, stream):
         ensembles = [build_ensemble([CountSketch(N, 8, 3, seed=0)])]
@@ -289,11 +296,13 @@ class TestExecutionValidation:
         bad = np.arange(N, dtype=np.int64) % 5
         with pytest.raises(InvalidParameterError):
             stream_sharded_ensemble(lambda s: CountSketch(N, 8, 3, seed=s),
-                                    range(2), stream, num_shards=3,
+                                    range(2), stream,
+                                    config=ExecutionConfig(num_shards=3),
                                     assignment=bad)
         with pytest.raises(InvalidParameterError):
             stream_sharded_ensemble(lambda s: CountSketch(N, 8, 3, seed=s),
-                                    range(2), stream, num_shards=3,
+                                    range(2), stream,
+                                    config=ExecutionConfig(num_shards=3),
                                     assignment=bad - 5)
         # Negative owners must be refused even when num_shards is inferred
         # from the assignment itself.
@@ -315,7 +324,10 @@ class TestExecutionValidation:
         with pytest.raises(InvalidParameterError, match="picklable"):
             replica_sharded_ensemble(
                 samplers,
-                stream, num_shards=2, execution="multiprocessing", processes=2)
+                stream,
+                config=ExecutionConfig(num_shards=2,
+                                       execution="multiprocessing",
+                                       processes=2))
 
 
 class TestMergeCopyFirst:
@@ -385,9 +397,11 @@ class TestUniverseSizeStrictness:
                      for s in range(2)]
         with pytest.raises(InvalidParameterError, match="universe"):
             ingest_sharded(ensembles, [bare, bare],
-                           execution="multiprocessing", processes=2)
+                           config=ExecutionConfig(execution="multiprocessing",
+                                                  processes=2))
         with pytest.raises(InvalidParameterError, match="universe"):
-            ingest_sharded(ensembles, [bare, bare], execution="distributed")
+            ingest_sharded(ensembles, [bare, bare],
+                           config=ExecutionConfig(execution="distributed"))
 
     def test_substream_missing_tail_coordinate_keeps_full_universe(self, stream):
         # Shard 0 owns only coordinate 0, so its sub-stream never touches
@@ -402,11 +416,12 @@ class TestUniverseSizeStrictness:
 
         serial = stream_sharded_ensemble(
             lambda s: CountSketch(N, 8, 3, seed=s), range(2), stream,
-            assignment=assignment, num_shards=2)
+            assignment=assignment, config=ExecutionConfig(num_shards=2))
         forked = stream_sharded_ensemble(
             lambda s: CountSketch(N, 8, 3, seed=s), range(2), stream,
-            assignment=assignment, num_shards=2,
-            execution="multiprocessing", processes=2)
+            assignment=assignment,
+            config=ExecutionConfig(num_shards=2, execution="multiprocessing",
+                                   processes=2))
         np.testing.assert_array_equal(serial._table, forked._table)
 
 

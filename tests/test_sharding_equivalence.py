@@ -50,6 +50,7 @@ from repro.streams.generators import (
     zipfian_frequency_vector,
 )
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import (
     replica_sharded_ensemble,
     sharded_ensemble_samples,
@@ -108,7 +109,7 @@ def test_replica_sharded_matches_monolithic(case, stream) -> None:
     for num_shards in SHARD_COUNTS:
         merged = replica_sharded_ensemble(
             [case.factory(seed) for seed in range(REPLICAS)], stream,
-            num_shards=num_shards)
+            config=ExecutionConfig(num_shards=num_shards))
         assert type(merged) is type(monolithic), (case.name, num_shards)
         assert merged.num_replicas == REPLICAS
         for replica in range(REPLICAS):
@@ -138,7 +139,8 @@ def test_replica_sharded_multiprocessing_matches_serial(case, stream) -> None:
     monolithic.update_stream(stream)
     forked = replica_sharded_ensemble(
         [case.factory(seed) for seed in range(STREAM_REPLICAS)], stream,
-        num_shards=2, execution="multiprocessing", processes=2)
+        config=ExecutionConfig(num_shards=2, execution="multiprocessing",
+                               processes=2))
     assert type(forked) is type(monolithic)
     for replica in range(STREAM_REPLICAS):
         state = case.ensemble_state(forked, replica)
@@ -162,7 +164,8 @@ def test_sharded_ensemble_samples_matches_sequential_loop(stream) -> None:
         instance.update_stream(stream)
         sequential.append(instance.sample())
     via_engine = sharded_ensemble_samples(
-        factory, range(STREAM_REPLICAS), stream, num_shards=3)
+        factory, range(STREAM_REPLICAS), stream,
+        config=ExecutionConfig(num_shards=3))
     assert len(via_engine) == len(sequential)
     for position, (left, right) in enumerate(zip(sequential, via_engine)):
         assert_samples_equal(left, right, f"sharded-samples[{position}]")
@@ -274,7 +277,8 @@ def test_stream_sharded_matches_monolithic(case, long_stream) -> None:
 
         merged = stream_sharded_ensemble(
             case.factory, range(STREAM_REPLICAS), long_stream,
-            assignment=assignment, num_shards=num_shards)
+            assignment=assignment,
+            config=ExecutionConfig(num_shards=num_shards))
         assert type(merged) is type(monolithic)
         for replica in range(STREAM_REPLICAS):
             state = case.state(merged, replica)
@@ -304,7 +308,7 @@ def test_stream_sharded_close_to_original_order(case, long_stream) -> None:
     monolithic.update_stream(long_stream)
     merged = stream_sharded_ensemble(
         case.factory, range(STREAM_REPLICAS), long_stream,
-        assignment=assignment, num_shards=3)
+        assignment=assignment, config=ExecutionConfig(num_shards=3))
     for replica in range(STREAM_REPLICAS):
         state = case.state(merged, replica)
         reference = case.state(monolithic, replica)
@@ -320,10 +324,14 @@ def test_stream_sharded_multiprocessing_matches_serial(long_stream) -> None:
     for factory in (lambda s: CountSketch(N, 16, 5, seed=s),
                     lambda s: PStableSketch(N, 1.0, num_rows=24, seed=s)):
         serial = stream_sharded_ensemble(
-            factory, range(4), long_stream, num_shards=3, assignment_seed=29)
+            factory, range(4), long_stream,
+            config=ExecutionConfig(num_shards=3),
+            assignment_seed=29)
         forked = stream_sharded_ensemble(
-            factory, range(4), long_stream, num_shards=3, assignment_seed=29,
-            execution="multiprocessing", processes=2)
+            factory, range(4), long_stream,
+            config=ExecutionConfig(num_shards=3, execution="multiprocessing",
+                                   processes=2),
+            assignment_seed=29)
         serial_state = getattr(serial, "_table", None)
         if serial_state is None:
             serial_state = serial._state
@@ -333,7 +341,7 @@ def test_stream_sharded_multiprocessing_matches_serial(long_stream) -> None:
         np.testing.assert_array_equal(serial_state, forked_state)
 
 
-@pytest.mark.parametrize("execution", ["sharded", "threaded", "multiprocessing"])
+@pytest.mark.parametrize("execution", ["threaded", "multiprocessing"])
 def test_distribution_harness_execution_knob_is_draw_identical(
         stream, execution) -> None:
     """The evaluation harness returns the same report under every back-end."""
@@ -344,8 +352,8 @@ def test_distribution_harness_execution_knob_is_draw_identical(
         max_attempts_per_draw=2)
     sharded = evaluate_sampler_distribution(
         factory, stream, lp_target_weights(vector, 2.0), num_draws=16,
-        max_attempts_per_draw=2, execution=execution, num_shards=3,
-        processes=2)
+        max_attempts_per_draw=2,
+        config=ExecutionConfig(num_shards=3, execution=execution, processes=2))
     assert serial.num_draws == sharded.num_draws
     assert serial.num_failures == sharded.num_failures
     np.testing.assert_array_equal(serial.empirical, sharded.empirical)

@@ -53,7 +53,7 @@ REPLICAS = 5
 #: Cases whose merge is exact in integer arithmetic (sign-hash and
 #: Mersenne-field substrates); the rest scale updates by irrational
 #: coefficients, where merge re-associates float sums (last-ulp).
-EXACT_MERGE = {"countsketch", "ams", "perfect-l0", "rough-l0"}
+EXACT_MERGE = {"countsketch", "countmin", "ams", "perfect-l0", "rough-l0"}
 
 #: The generic fallback ensemble refuses stream-sharded merging by design.
 MERGE_CASES = [case for case in CASES if case.name != "cap-sampler-fallback"]
@@ -212,6 +212,49 @@ def test_save_leaves_no_temporary_files(tmp_path) -> None:
     assert [entry.name for entry in tmp_path.iterdir()] == ["sketch.rsnp"]
     assert isinstance(load_snapshot(path, expected_type=CountSketch),
                       CountSketch)
+
+
+#: Tags appended by :func:`_record_load` whenever a recorder is unpickled.
+_LOADED: list = []
+
+
+def _record_load(tag):
+    _LOADED.append(tag)
+    return tag
+
+
+class _LoadRecorder:
+    """Unpickles to ``_record_load("loaded")`` — a visible side effect."""
+
+    def __reduce__(self):
+        return (_record_load, ("loaded",))
+
+
+def test_version_1_snapshot_is_refused_before_unpickling(tmp_path) -> None:
+    """A version-1 file fails the header check; its body never loads.
+
+    Version-1 ensembles reference the deleted array-backend module, so
+    the header check must refuse them with a :class:`SnapshotError`
+    naming the version instead of failing inside pickle.
+    """
+    import struct
+    import zlib
+
+    path = tmp_path / "recorder.rsnp"
+    save_snapshot(_LoadRecorder(), path)
+    _LOADED.clear()
+    assert load_snapshot(path) == "loaded"
+    assert _LOADED == ["loaded"]
+    _LOADED.clear()
+
+    data = bytearray(path.read_bytes())
+    assert data[4] == SNAPSHOT_VERSION == 2
+    data[4] = 1
+    data[5:9] = struct.pack(">I", zlib.crc32(bytes(data[:5])))
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match="version 1"):
+        load_snapshot(path)
+    assert _LOADED == []
 
 
 def test_loading_non_snapshot_bytes_is_refused(tmp_path) -> None:

@@ -26,6 +26,7 @@ from repro.streams.generators import (
     zipfian_frequency_vector,
 )
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import replica_sharded_ensemble
 from repro.utils.table_cache import cache_clear, table_mode
 
@@ -117,8 +118,9 @@ def _sharded_run(case, mode, stream, execution):
     with table_mode(mode):
         instances = [case.factory(seed) for seed in range(REPLICAS)]
     return replica_sharded_ensemble(
-        instances, stream, num_shards=2, execution=execution,
-        processes=2 if execution != "serial" else None)
+        instances, stream,
+        config=ExecutionConfig(num_shards=2, execution=execution,
+                               processes=2 if execution != "serial" else None))
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)

@@ -34,6 +34,7 @@ from repro.streams.generators import (
 from repro.streams.stream import TurnstileStream
 from repro.utils import sharding
 from repro.utils.ensemble import build_ensemble
+from repro.utils.execution_config import ExecutionConfig
 from repro.utils.sharding import (
     _shard_payloads,
     ingest_sharded,
@@ -77,7 +78,8 @@ def test_threaded_matches_monolithic_under_contention(case, stream) -> None:
     for threads in THREAD_COUNTS:
         merged = replica_sharded_ensemble(
             [case.factory(seed) for seed in range(REPLICAS)], stream,
-            num_shards=4, execution="threaded", processes=threads)
+            config=ExecutionConfig(num_shards=4, execution="threaded",
+                                   processes=threads))
         assert type(merged) is type(monolithic), (case.name, threads)
         assert merged.num_replicas == REPLICAS
         for replica in range(REPLICAS):
@@ -98,10 +100,14 @@ def test_threaded_stream_sharding_matches_serial(stream) -> None:
     for factory in (lambda s: CountSketch(N, 16, 5, seed=s),
                     lambda s: PStableSketch(N, 1.0, num_rows=24, seed=s)):
         serial = stream_sharded_ensemble(
-            factory, range(4), stream, num_shards=3, assignment_seed=29)
+            factory, range(4), stream,
+            config=ExecutionConfig(num_shards=3),
+            assignment_seed=29)
         threaded = stream_sharded_ensemble(
-            factory, range(4), stream, num_shards=3, assignment_seed=29,
-            execution="threaded", processes=2)
+            factory, range(4), stream,
+            config=ExecutionConfig(num_shards=3, execution="threaded",
+                                   processes=2),
+            assignment_seed=29)
         serial_state = getattr(serial, "_table", None)
         if serial_state is None:
             serial_state, threaded_state = serial._state, threaded._state
@@ -114,8 +120,9 @@ def test_threaded_ingest_returns_the_same_objects(stream) -> None:
     """Threaded ingest mutates the given ensembles in place (no pickling)."""
     ensembles = [build_ensemble([CountSketch(N, 8, 3, seed=s)])
                  for s in range(3)]
-    returned = ingest_sharded(ensembles, [stream] * 3, execution="threaded",
-                              processes=2)
+    returned = ingest_sharded(
+        ensembles, [stream] * 3,
+        config=ExecutionConfig(execution="threaded", processes=2))
     assert all(left is right for left, right in zip(returned, ensembles))
 
 
@@ -139,7 +146,8 @@ def test_threaded_default_worker_count_is_affinity_aware(
     monkeypatch.setattr(sharding, "usable_cpu_count", lambda: 3)
     ensembles = [build_ensemble([CountSketch(N, 8, 3, seed=s)])
                  for s in range(4)]
-    ingest_sharded(ensembles, [stream] * 4, execution="threaded")
+    ingest_sharded(ensembles, [stream] * 4,
+                   config=ExecutionConfig(execution="threaded"))
     assert captured["max_workers"] == 3
 
 
