@@ -596,8 +596,10 @@ def run_memory_ceiling():
     """E9e: peak ingest memory — materialised tables vs blocked evaluation.
 
     The materialised path (``cached``/``private`` table modes) evaluates
-    ``(rows, n)`` bucket and sign tables up front: at ``n = 10^7`` and 7
-    rows that is ~1.1 GiB of int64 before the first counter moves.  The
+    ``(rows, n)`` bucket and sign tables up front: at ``n = 10^7``, 7 rows
+    and 4096 buckets that is 210 MB (~200 MiB) of int16 buckets and int8
+    signs, 3 bytes per cell, before the first counter moves, plus the
+    evaluation's transient uint64 Horner temporaries.  The
     ``blocked`` mode evaluates hash columns only at the keys an operation
     touches, so a batched ingest of a 2*10^5-update stream peaks at the
     size of its per-batch index set instead of the universe.  Both paths

@@ -19,6 +19,7 @@ from repro.utils.batching import (
     BatchUpdateMixin,
     check_batch_bounds,
     coerce_batch,
+    coerce_indices,
     median_of_rows,
 )
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
@@ -35,8 +36,8 @@ class AMSSketch(BatchUpdateMixin):
     """Tug-of-war sketch estimating ``F_2 = ||x||_2^2`` of a turnstile stream.
 
     Sign-hash coefficients are drawn at construction (one vectorised call);
-    the dense ``(width * depth, n)`` sign matrix is materialised lazily on
-    first use, so short-lived instances and ensemble seed carriers pay
+    the dense ``(width * depth, n)`` int8 sign matrix is materialised lazily
+    on first use, so short-lived instances and ensemble seed carriers pay
     almost nothing up front.
 
     Parameters
@@ -69,29 +70,31 @@ class AMSSketch(BatchUpdateMixin):
         self._num_updates = 0
 
     def _ensure_signs(self) -> None:
-        """Materialise the dense sign matrix on first use (lazy)."""
+        """Materialise the dense int8 sign matrix on first use (lazy)."""
         if self._signs is None:
             if self._table_mode == "cached":
-                self._signs = self._sign_family.sign_table_float(self._n)
+                self._signs = self._sign_family.sign_table(self._n)
                 return
             all_indices = np.arange(self._n, dtype=np.int64)
-            self._signs = self._sign_family.sign_all(all_indices).astype(float)
+            self._signs = self._sign_family.sign_all(all_indices)
 
     def _sign_columns(self, indices: np.ndarray) -> np.ndarray:
         """``(counters, B)`` float sign columns at the given keys.
 
-        The fancy-index gather ``signs[:, indices]`` comes out
-        **F-contiguous** (the advanced axis varies slowest in memory), and
-        BLAS picks its accumulation order from the operand layout — so the
-        ``blocked`` branch converts its fresh evaluation to the same
-        F-contiguous layout to keep the downstream gemv bitwise-equal to
-        the materialised path.
+        F-order contract: the fancy-index gather ``signs[:, indices]``
+        comes out **F-contiguous** (the advanced axis varies slowest in
+        memory), and BLAS picks its accumulation order from the operand
+        layout, so the gemv's bits depend on it.  The gather reads the
+        int8 table and the cast to float comes *after* it (``astype``
+        keeps F order); the ``blocked`` branch lays its fresh evaluation
+        out F-contiguous before the same cast, so both paths feed the gemv
+        identically laid-out float operands.
         """
         if self._table_mode == "blocked":
             return np.asfortranarray(
-                self._sign_family.sign_all(indices).astype(float))
+                self._sign_family.sign_all(indices)).astype(float)
         self._ensure_signs()
-        return self._signs[:, indices]
+        return self._signs[:, indices].astype(float)
 
     def __getstate__(self):
         """Pickle without the dense sign matrix (re-derived lazily from the
@@ -159,8 +162,11 @@ class AMSSketch(BatchUpdateMixin):
             self._counters += signs @ vector
             self._num_updates += int(np.count_nonzero(vector))
             return
+        # Cast the int8 matrix first, so the product is the same float
+        # BLAS gemv as in the blocked branch: NumPy does not promise which
+        # loop, and so which summation order, a mixed int8 @ float takes.
         self._ensure_signs()
-        self._counters += self._signs @ vector
+        self._counters += self._signs.astype(float) @ vector
         self._num_updates += int(np.count_nonzero(vector))
 
     def merge(self, other: "AMSSketch") -> "AMSSketch":
@@ -202,7 +208,7 @@ class AMSSketch(BatchUpdateMixin):
 class AMSEnsemble(ReplicaEnsemble):
     """``M`` independent AMS sketches with stacked counters and signs.
 
-    The members' sign matrices are built with one concatenated family
+    The members' int8 sign matrices are built with one concatenated family
     evaluation (shape ``(M, width * depth, n)``); counters live in one
     ``(M, width * depth)`` array.  The per-member counter accumulation is
     the *same* gather + matrix-vector product the standalone sketch runs
@@ -234,34 +240,39 @@ class AMSEnsemble(ReplicaEnsemble):
         self._num_updates = np.zeros(members, dtype=np.int64)
 
     def _ensure_signs(self) -> None:
-        """Materialise the stacked float sign matrix on first use (lazy)."""
+        """Materialise the stacked int8 sign matrix on first use (lazy)."""
         if self._signs is None:
             members = self.num_members
             counters = self._counters.shape[1]
             if self._table_mode == "cached":
-                self._signs = self._sign_family.sign_table_float(
+                self._signs = self._sign_family.sign_table(
                     self._n).reshape(members, counters, self._n)
             else:
                 all_indices = np.arange(self._n, dtype=np.int64)
-                self._signs = self._sign_family.sign_all(all_indices).astype(
-                    float).reshape(members, counters, self._n)
+                self._signs = self._sign_family.sign_all(all_indices).reshape(
+                    members, counters, self._n)
 
     def _member_signs(self, member: int, indices: np.ndarray):
         """One member's ``(counters, B)`` float sign columns (mode-aware).
 
-        The materialised gather ``signs[member][:, indices]`` is
-        F-contiguous; the ``blocked`` branch converts its fresh evaluation
-        to the same layout so the per-member gemv accumulates
-        bit-identically (BLAS order follows operand layout).
+        Same F-order contract as :meth:`AMSSketch._sign_columns`: the
+        gather ``signs[member][:, indices]`` reads the int8 matrix and is
+        F-contiguous, the cast to float comes after it and keeps that
+        layout, and the ``blocked`` branch lays its fresh evaluation out
+        the same way, so the per-member gemv accumulates bit-identically
+        (BLAS order follows operand layout).  Gather one member at a time:
+        a gather of every member at once, sliced afterwards, gives each
+        member's block a leading dimension other than ``counters`` and
+        changes the gemv's bits.
         """
         if self._table_mode == "blocked":
             counters = self._counters.shape[1]
             return np.asfortranarray(
                 self._sign_family.sign_slice(
                     member * counters, (member + 1) * counters,
-                    indices).astype(float))
+                    indices)).astype(float)
         self._ensure_signs()
-        return self._signs[member][:, indices]
+        return self._signs[member][:, indices].astype(float)
 
     def __getstate__(self):
         """Pickle without the stacked sign matrix (re-derived lazily from
@@ -361,7 +372,7 @@ class AMSEnsemble(ReplicaEnsemble):
         identically laid-out arrays, so the result is bit-identical to the
         per-instance path.
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = coerce_indices(indices)
         if indices.ndim != 1:
             raise InvalidParameterError("ensemble indices must be 1-D")
         if indices.size == 0:

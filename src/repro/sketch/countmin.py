@@ -84,11 +84,16 @@ class CountMin(BatchUpdateMixin):
             self._bucket_of = self._bucket_family.hash_all(all_indices)
 
     def _columns(self, indices: np.ndarray) -> np.ndarray:
-        """``(rows, B)`` bucket columns at the given keys (mode-aware)."""
+        """``(rows, B)`` narrow bucket columns at the given keys (mode-aware).
+
+        The gather is ``np.take(..., axis=-1)``, which returns the columns
+        C-contiguous, so each row ``buckets[row]`` the scatter reads is
+        contiguous (``table[:, indices]`` would return them F-ordered).
+        """
         if self._table_mode == "blocked":
             return self._bucket_family.hash_all(indices)
         self._ensure_tables()
-        return self._bucket_of[:, indices]
+        return np.take(self._bucket_of, indices, axis=-1)
 
     def __getstate__(self):
         """Pickle without the bucket table (re-derived lazily from the
@@ -249,7 +254,14 @@ class CountMinEnsemble(ReplicaEnsemble):
                     all_indices).reshape(members, self._rows, self._n)
 
     def _member_columns(self, start: int, stop: int, indices: np.ndarray):
-        """``(stop - start, rows, B)`` bucket columns of a member chunk."""
+        """``(stop - start, rows, B)`` bucket columns of a member chunk.
+
+        The materialised gather is ``np.take(..., axis=-1)``, which reads
+        the table in memory order and returns C-contiguous columns;
+        ``table[start:stop, :, indices]`` would build a transposed view,
+        several times slower.  The scatter visits cells in C order either
+        way, so the counters are the same bits.
+        """
         if self._table_mode == "blocked":
             chunk = stop - start
             lo, hi = start * self._rows, stop * self._rows
@@ -257,7 +269,7 @@ class CountMinEnsemble(ReplicaEnsemble):
                 chunk, self._rows, indices.size)
             return buckets
         self._ensure_tables()
-        return self._bucket_of[start:stop, :, indices]
+        return np.take(self._bucket_of[start:stop], indices, axis=-1)
 
     def __getstate__(self):
         """Pickle without the stacked bucket table (re-derived lazily)."""

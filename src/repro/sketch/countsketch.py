@@ -41,6 +41,7 @@ from repro.utils.batching import (
     aggregate_scatter,
     check_batch_bounds,
     coerce_batch,
+    coerce_indices,
     fused_bincount_add,
     median_of_rows,
 )
@@ -125,17 +126,21 @@ class CountSketch(BatchUpdateMixin):
                 self._sign_of = self._sign_family.sign_all(all_indices)
 
     def _columns(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, B)`` bucket and sign columns at the given keys.
+        """``(rows, B)`` narrow bucket and int8 sign columns at the given keys.
 
-        ``blocked`` mode evaluates them directly — bit-identical to
-        gathering from the materialised table because every
-        ``(member, key)`` cell of the Horner sweep is independent.
+        The gather is ``np.take(..., axis=-1)``, which returns the columns
+        C-contiguous (``table[:, indices]`` returns them F-ordered), so the
+        kernels' ``ravel`` makes no hidden copy.  ``blocked`` mode
+        evaluates them directly — bit-identical to gathering from the
+        materialised table because every ``(member, key)`` cell of the
+        Horner sweep is independent.
         """
         if self._table_mode == "blocked":
             return (self._bucket_family.hash_all(indices),
                     self._sign_family.sign_all(indices))
         self._ensure_tables()
-        return self._bucket_of[:, indices], self._sign_of[:, indices]
+        return (np.take(self._bucket_of, indices, axis=-1),
+                np.take(self._sign_of, indices, axis=-1))
 
     def __getstate__(self):
         """Pickle without the per-coordinate tables.
@@ -186,7 +191,9 @@ class CountSketch(BatchUpdateMixin):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         buckets, signs = self._columns(np.asarray([index], dtype=np.int64))
         rows = np.arange(self._rows)
-        self._table[rows, buckets[:, 0]] += signs[:, 0] * delta
+        # float(): int8 signs times a Python int delta would stay int8 and
+        # overflow (NEP 50).
+        self._table[rows, buckets[:, 0]] += signs[:, 0] * float(delta)
 
     def update_batch(self, indices, deltas) -> None:
         """Apply a whole batch of updates with one fused scatter-add.
@@ -358,11 +365,15 @@ class CountSketchEnsemble(ReplicaEnsemble):
     def _member_columns(self, start: int, stop: int, indices: np.ndarray):
         """``(stop - start, rows, B)`` bucket/sign values of a member chunk.
 
-        In ``blocked`` mode the member slice of the concatenated families is
-        evaluated directly, with the same values as the fancy-index gather
-        from the materialised table.  The downstream bincount/scatter
-        kernels read operands element-wise in C order regardless of memory
-        layout, so the accumulation is bitwise-equal either way.
+        The materialised gather is ``np.take(..., axis=-1)`` and returns
+        C-contiguous columns; the slice-slice-array index
+        ``table[start:stop, :, indices]`` would return a transposed view
+        whose ``ravel`` in :func:`fused_bincount_add` silently copies.  In
+        ``blocked`` mode the member slice of the concatenated families is
+        evaluated directly, with the same values as the gather.  The
+        downstream bincount/scatter kernels read operands element-wise in
+        C order regardless of memory layout, so the accumulation is
+        bitwise-equal either way.
         """
         if self._table_mode == "blocked":
             chunk = stop - start
@@ -373,8 +384,8 @@ class CountSketchEnsemble(ReplicaEnsemble):
                 chunk, self._rows, indices.size)
             return buckets, signs
         self._ensure_tables()
-        return (self._bucket_of[start:stop, :, indices],
-                self._sign_of[start:stop, :, indices])
+        return (np.take(self._bucket_of[start:stop], indices, axis=-1),
+                np.take(self._sign_of[start:stop], indices, axis=-1))
 
     def __getstate__(self):
         """Pickle without the stacked tables (re-derived lazily from the
@@ -508,7 +519,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
     def update_batch(self, indices, deltas) -> None:
         """Apply one batch to every member with chunked fused scatter-adds."""
         raw_deltas = deltas
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = coerce_indices(indices)
         if indices.ndim != 1:
             raise InvalidParameterError("ensemble indices must be 1-D")
         if indices.size == 0:

@@ -42,6 +42,26 @@ families share evaluated tables through the process-wide keyed cache in
 * Families pickle as coefficients only (a few hundred bytes); consumers
   drop their table references when pickled and re-derive them from the
   cache on first use, so multiprocessing payloads stay table-independent.
+
+Table format
+------------
+Every family evaluation (:meth:`KWiseHashFamily.hash_all` and everything
+built on it, :meth:`KWiseHashFamily.hash_at`, and the sign evaluations)
+returns one narrow format: bucket values come in the narrowest signed
+integer dtype that holds ``range_size - 1`` (:func:`table_dtype`; int8 up
+to 128 buckets, int16 up to ``2**15``, int32 up to ``2**31``, int64
+beyond), and signs come as int8.  The sketch kernels gather a batch's
+columns from these tables on every update, and those gathers are
+memory-bound, so a table's width is its gather cost: int16 buckets and
+int8 signs read a quarter and an eighth of the bytes int64 did, and the
+cache holds as much less.  The values are the same, so every counter is
+bitwise unchanged.
+
+*NEP 50 warning.*  Under NumPy 2, ``int16_table + python_int`` stays int16
+and wraps silently once the sum passes ``2**15 - 1``.  A flat index built
+from a table must combine it with an int64 *array* (a row or member
+offset ``np.arange(..., dtype=np.int64) * buckets``), never with a bare
+Python int, so that the sum is promoted to int64 before it can overflow.
 """
 
 from __future__ import annotations
@@ -64,6 +84,25 @@ from repro.utils.table_cache import (
 )
 
 MERSENNE_PRIME = MERSENNE_PRIME_61
+
+_NARROW_DTYPES = tuple(np.dtype(d) for d in (np.int8, np.int16, np.int32))
+
+
+def table_dtype(range_size: int) -> np.dtype:
+    """The narrowest signed integer dtype holding every value in
+    ``[0, range_size)`` — the dtype of a family's evaluated tables."""
+    for dtype in _NARROW_DTYPES:
+        if range_size - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.dtype(np.int64)
+
+
+def _signs_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Map freshly evaluated ``{0, 1}`` int8 hash bits to ``{-1, +1}`` signs
+    in place (bit ``1`` is sign ``+1``)."""
+    bits *= 2
+    bits -= 1
+    return bits
 
 
 def _draw_coefficients(k: int, seed: SeedLike) -> np.ndarray:
@@ -246,16 +285,23 @@ class KWiseHashFamily:
     #: evaluated tables between same-coefficient families.
     _EVAL_CHUNK_CELLS = 1 << 17
 
+    @property
+    def dtype(self) -> np.dtype:
+        """Dtype of every evaluated table (see :func:`table_dtype`)."""
+        return table_dtype(self._range_size)
+
     def hash_all(self, keys: np.ndarray) -> np.ndarray:
-        """``(F, len(keys))`` table of every member at every key."""
+        """``(F, len(keys))`` table of every member at every key, in
+        :attr:`dtype`."""
         arr = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         members = self._coefficients.shape[0]
         cells = members * max(arr.size, 1)
         modulus = np.uint64(self._range_size)
         if cells <= self._EVAL_CHUNK_CELLS or arr.size == 0:
             values = polyval_mersenne(self._coefficients, arr)
-            return (values % modulus).astype(np.int64)
-        out = np.empty((members, arr.size), dtype=np.int64)
+            return (values % modulus).astype(self.dtype)
+        # Allocated narrow, so no full-size int64 table ever exists.
+        out = np.empty((members, arr.size), dtype=self.dtype)
         step = max(1, self._EVAL_CHUNK_CELLS // arr.size)
         for start in range(0, members, step):
             stop = min(members, start + step)
@@ -305,7 +351,7 @@ class KWiseHashFamily:
         cell equals the same cell of :meth:`hash_all`.
         """
         values = polyval_mersenne_at(self._coefficients[members], keys)
-        return (values % np.uint64(self._range_size)).astype(np.int64)
+        return (values % np.uint64(self._range_size)).astype(self.dtype)
 
     def hash_blocks(self, universe: int, block: int | None = None,
                     ) -> Iterator[Tuple[int, int, np.ndarray]]:
@@ -362,27 +408,27 @@ class SignHashFamily:
         return self._family.coefficients
 
     def sign_all(self, keys: np.ndarray) -> np.ndarray:
-        """``(F, len(keys))`` table of ``{-1, +1}`` signs (int64)."""
-        bits = self._family.hash_all(keys)
-        return np.where(bits == 1, 1, -1).astype(np.int64)
+        """``(F, len(keys))`` table of ``{-1, +1}`` signs (int8)."""
+        return _signs_from_bits(self._family.hash_all(keys))
 
     def table_key(self, universe: int, kind: str = "sign"):
         """The cache key of this family's full-universe sign table."""
         return self._family.table_key(universe, kind=kind)
 
     def sign_table(self, universe: int) -> np.ndarray:
-        """The ``(F, universe)`` int64 sign table via the cache (read-only)."""
+        """The ``(F, universe)`` int8 sign table via the cache (read-only)."""
         return cached_table(
             self.table_key(universe),
             lambda: self.sign_all(np.arange(int(universe), dtype=np.int64)),
         )
 
     def sign_table_float(self, universe: int) -> np.ndarray:
-        """The sign table pre-cast to ``float64``, via the cache.
+        """The sign table cast to ``float64``, via the cache (own ``kind``).
 
-        The AMS gemv kernels consume float signs; caching the cast table
-        (under its own ``kind``) avoids re-casting — and double-storing —
-        per consumer.
+        No library code calls it: the AMS kernels gather int8 signs from
+        :meth:`sign_table` and cast after the gather.  It is kept only
+        because the perfbench tracer patches this name by
+        ``inspect.getattr_static``, which raises on a missing attribute.
         """
         return cached_table(
             self.table_key(universe, kind="sign-f8"),
@@ -396,21 +442,19 @@ class SignHashFamily:
     sign_table_float_tensor = sign_table_float
 
     def sign_slice(self, start: int, stop: int, keys: np.ndarray) -> np.ndarray:
-        """``sign_all(keys)`` restricted to members ``[start, stop)``."""
-        bits = self._family.hash_slice(start, stop, keys)
-        return np.where(bits == 1, 1, -1).astype(np.int64)
+        """``sign_all(keys)`` restricted to members ``[start, stop)`` (int8)."""
+        return _signs_from_bits(self._family.hash_slice(start, stop, keys))
 
     def sign_at(self, members: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Sign of member ``members[j]`` at key ``keys[j]`` (see
+        """Int8 sign of member ``members[j]`` at key ``keys[j]`` (see
         :meth:`KWiseHashFamily.hash_at`)."""
-        bits = self._family.hash_at(members, keys)
-        return np.where(bits == 1, 1, -1).astype(np.int64)
+        return _signs_from_bits(self._family.hash_at(members, keys))
 
     def sign_blocks(self, universe: int, block: int | None = None,
                     ) -> Iterator[Tuple[int, int, np.ndarray]]:
-        """Stream the sign table as ``(start, stop, chunk)`` triples."""
+        """Stream the int8 sign table as ``(start, stop, chunk)`` triples."""
         for start, stop, bits in self._family.hash_blocks(universe, block):
-            yield start, stop, np.where(bits == 1, 1, -1).astype(np.int64)
+            yield start, stop, _signs_from_bits(bits)
 
 
 class PairwiseHash(KWiseHash):

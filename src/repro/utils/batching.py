@@ -51,6 +51,7 @@ __all__ = [
     "aggregate_batch",
     "aggregate_scatter",
     "coerce_batch",
+    "coerce_indices",
     "check_batch_bounds",
     "fused_bincount_add",
     "stream_arrays",
@@ -264,30 +265,44 @@ def median_of_rows(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return _median3(v[4], low, high) + 0.0
 
 
+def coerce_indices(indices) -> np.ndarray:
+    """Convert batch indices to int64, refusing non-integer values.
+
+    The index half of :func:`coerce_batch`, shared with the ensembles whose
+    deltas are not ``(B,)``.  Fractional and non-finite indices raise
+    instead of being truncated onto the wrong coordinate (e.g. swapped
+    indices/deltas arguments); the scalar paths would error too.
+
+    Raises
+    ------
+    InvalidParameterError
+        If an index is fractional, non-finite or not integer-like.
+    """
+    try:
+        raw_indices = np.asarray(indices)
+        if raw_indices.dtype.kind in "fc":
+            if not np.all(np.isfinite(raw_indices)) or np.any(
+                    raw_indices != np.trunc(raw_indices)):
+                raise InvalidParameterError(
+                    "batch indices must be integer-valued"
+                )
+        return raw_indices.astype(np.int64, copy=False)
+    except InvalidParameterError:
+        raise
+    except (TypeError, ValueError, OverflowError) as error:
+        raise InvalidParameterError(f"batch indices are not integer-like: {error}")
+
+
 def coerce_batch(indices, deltas) -> Tuple[np.ndarray, np.ndarray]:
     """Normalise a batch into parallel ``(int64, float64)`` arrays.
 
     Raises
     ------
     InvalidParameterError
-        If either argument is not 1-D or the lengths differ.
+        If an index is not integer-valued (see :func:`coerce_indices`),
+        either argument is not 1-D or the lengths differ.
     """
-    try:
-        raw_indices = np.asarray(indices)
-        if raw_indices.dtype.kind in "fc":
-            # Reject fractional/non-finite indices instead of silently
-            # truncating them onto the wrong coordinate (e.g. swapped
-            # indices/deltas arguments); the scalar path would error too.
-            if not np.all(np.isfinite(raw_indices)) or np.any(
-                    raw_indices != np.trunc(raw_indices)):
-                raise InvalidParameterError(
-                    "batch indices must be integer-valued"
-                )
-        indices = raw_indices.astype(np.int64, copy=False)
-    except InvalidParameterError:
-        raise
-    except (TypeError, ValueError, OverflowError) as error:
-        raise InvalidParameterError(f"batch indices are not integer-like: {error}")
+    indices = coerce_indices(indices)
     try:
         deltas = np.asarray(deltas, dtype=float)
     except (TypeError, ValueError, OverflowError) as error:
@@ -427,6 +442,9 @@ def fused_bincount_add(target, flat, values, minlength: int) -> None:
     sums, which are then accumulated into ``target`` without a second
     temporary.  Both steps release the GIL at these array sizes, which
     is what lets the ``threaded`` sharding back-end overlap shard ingests.
+    The callers gather their columns with ``np.take``, which returns them
+    C-contiguous, so ``flat`` and ``values`` are C-contiguous too and the
+    ``ravel`` calls here are views, not hidden copies.
     """
     counts = np.bincount(flat.ravel(), weights=values.ravel(),
                          minlength=minlength)

@@ -338,6 +338,12 @@ class ChaosProxy:
                 return
             self._closed = True
             links = list(self._links)
+        # On Linux, close() alone does not wake a thread blocked in
+        # accept(); shutdown() does, so the join below returns at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         for link in links:
             link.close()

@@ -176,6 +176,40 @@ def test_fractional_or_nonfinite_indices_are_rejected_not_truncated() -> None:
         coerce_batch([2**70], [1.0])
 
 
+def _countsketch_ensemble():
+    from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
+
+    ensemble = CountSketchEnsemble([CountSketch(10, 4, 3, seed=s)
+                                    for s in range(2)])
+    return ensemble, lambda: ensemble.member_tables().copy()
+
+
+def _ams_ensemble():
+    from repro.sketch.ams import AMSEnsemble, AMSSketch
+
+    ensemble = AMSEnsemble([AMSSketch(10, 4, 3, seed=s) for s in range(2)])
+    return ensemble, lambda: ensemble._counters.copy()
+
+
+@pytest.mark.parametrize("bad_index", [3.7, np.nan, np.inf],
+                         ids=["fractional", "nan", "inf"])
+@pytest.mark.parametrize("build", [_countsketch_ensemble, _ams_ensemble],
+                         ids=["countsketch-ensemble", "ams-ensemble"])
+def test_ensembles_refuse_fractional_indices(build, bad_index) -> None:
+    """The native ensembles validate indices like the standalone sketches:
+    ``[3.7]`` must raise, not land on coordinate 3."""
+    ensemble, state = build()
+    before = state()
+    with pytest.raises(InvalidParameterError, match="integer-valued"):
+        ensemble.update_batch(np.asarray([bad_index]), np.asarray([1.0]))
+    np.testing.assert_array_equal(state(), before)
+    # An integer-valued float index is still the coordinate it names.
+    ensemble.update_batch(np.asarray([3.0]), np.asarray([1.0]))
+    reference, reference_state = build()
+    reference.update_batch(np.asarray([3]), np.asarray([1.0]))
+    np.testing.assert_array_equal(state(), reference_state())
+
+
 def test_batch_coercion_accepts_lists_tuples_and_mixed_dtypes() -> None:
     indices, deltas = coerce_batch((np.int32(1), 2), [np.float32(1.5), 2])
     assert indices.dtype == np.int64 and deltas.dtype == np.float64

@@ -393,18 +393,26 @@ def _assert_link_dead(link) -> None:
 
 
 def test_proxy_close_joins_pumps_and_closes_sockets() -> None:
-    """``ChaosProxy.close()`` leaves no pump threads or open link sockets."""
+    """``ChaosProxy.close()`` returns promptly and leaves no accept or pump
+    thread and no open link socket."""
     upstream = _echo_server()
+    proxy = ChaosProxy(upstream.getsockname()[:2])
     try:
-        with ChaosProxy(upstream.getsockname()[:2]) as proxy:
-            with socket.create_connection(proxy.address, timeout=10.0) as sock:
-                sock.sendall(b"ping")
-                assert sock.recv(4) == b"ping"
-                # Leave the connection open: close() must tear it down.
-                assert proxy.connections == 1
+        with socket.create_connection(proxy.address, timeout=10.0) as sock:
+            sock.sendall(b"ping")
+            assert sock.recv(4) == b"ping"
+            # Leave the connection open: close() must tear it down.
+            assert proxy.connections == 1
+            started = time.monotonic()
+            proxy.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0, f"close() took {elapsed:.2f} s"
+        assert not proxy._accept_thread.is_alive(), "accept thread leaked"
+        assert proxy._links, "link was never registered"
         for link in proxy._links:
             _assert_link_dead(link)
     finally:
+        proxy.close()
         upstream.close()
 
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
+from repro.sketch.countsketch import CountSketch
 from repro.sketch.hashing import KWiseHashFamily, SignHashFamily
 from repro.utils.table_cache import (
     DEFAULT_TABLE_BLOCK,
@@ -191,9 +192,18 @@ class TestCacheSemantics:
         signs = family.sign_table(16)             # values in {-1, +1}
         floats = family.sign_table_float(16)
         assert cache_stats().entries == 3
-        assert signs.dtype == np.int64 and floats.dtype == np.float64
+        assert signs.dtype == np.int8 and floats.dtype == np.float64
         np.testing.assert_array_equal(np.where(raw == 1, 1, -1), signs)
         np.testing.assert_array_equal(signs.astype(float), floats)
+
+    def test_cached_countsketch_holds_three_bytes_per_row_and_key(self) -> None:
+        """A cached-mode CountSketch with 129..2**15 buckets keeps int16
+        buckets and int8 signs: ``rows * n * 3`` bytes of tables."""
+        n, buckets, rows = 1000, 300, 5
+        before = cache_stats().current_bytes
+        sketch = CountSketch(n, buckets, rows, seed=3, table_mode="cached")
+        sketch.update_batch(np.arange(10), np.ones(10))
+        assert cache_stats().current_bytes - before == rows * n * 3
 
 
 class TestModeKnobs:
