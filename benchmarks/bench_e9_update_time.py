@@ -598,8 +598,11 @@ def run_memory_ceiling():
     The materialised path (``cached``/``private`` table modes) evaluates
     ``(rows, n)`` bucket and sign tables up front: at ``n = 10^7``, 7 rows
     and 4096 buckets that is 210 MB (~200 MiB) of int16 buckets and int8
-    signs, 3 bytes per cell, before the first counter moves, plus the
-    evaluation's transient uint64 Horner temporaries.  The
+    signs, 3 bytes per cell, before the first counter moves.  The
+    evaluation's transient uint64 Horner temporaries are bounded by
+    ``KWiseHashFamily._EVAL_CHUNK_CELLS`` (a few 256 KiB chunks), not by
+    the universe, but the ``np.arange(n)`` key array (76 MiB) is
+    materialised with the table.  The
     ``blocked`` mode evaluates hash columns only at the keys an operation
     touches, so a batched ingest of a 2*10^5-update stream peaks at the
     size of its per-batch index set instead of the universe.  Both paths

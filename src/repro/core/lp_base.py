@@ -318,6 +318,8 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
 
     def estimate_value(self, index: int) -> float:
         """A standalone estimate of ``x_index`` (exact in oracle mode)."""
+        if not (0 <= index < self._n):
+            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         if self._backend == "oracle":
             return float(self._exact_vector[index])
         ensemble = self._l2_ensemble

@@ -214,6 +214,8 @@ class JW18LpSampler(BatchUpdateMixin):
 
     def estimate_value(self, index: int) -> float:
         """Estimate ``x_index`` by unscaling the averaged CountSketch estimate."""
+        if not (0 <= index < self._n):
+            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         if self._exact_recovery:
             scaled = float(self._scaled_vector[index])
         else:
@@ -230,6 +232,8 @@ class JW18LpSampler(BatchUpdateMixin):
         ``e_index^{1/p}``.  In oracle mode all estimates equal the exact
         value.
         """
+        if not (0 <= index < self._n):
+            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         require_positive_int(count, "count")
         unscale = self._exponentials[index] ** (1.0 / self._p)
         if self._exact_recovery:
@@ -499,6 +503,8 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
 
     def estimate_value(self, replica: int, index: int) -> float:
         """Replica's estimate of ``x_index`` (matches the standalone method)."""
+        if not (0 <= index < self._n):
+            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         instance = self._instances[replica]
         if self._exact:
             scaled = float(self._scaled_vectors[replica, index])
@@ -509,6 +515,8 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
     def independent_value_estimates(self, replica: int, index: int, count: int,
                                     group_size: int | None = None) -> np.ndarray:
         """Replica's ``count`` (nearly) independent estimates of ``x_index``."""
+        if not (0 <= index < self._n):
+            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         require_positive_int(count, "count")
         instance = self._instances[replica]
         unscale = instance._exponentials[index] ** (1.0 / self._p)

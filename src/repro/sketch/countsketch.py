@@ -623,7 +623,9 @@ class CountSketchEnsemble(ReplicaEnsemble):
         ensemble unpickled from a worker), never by building the tables.
         """
         members = np.asarray(members, dtype=np.int64)
-        keys = np.broadcast_to(np.asarray(keys, dtype=np.int64), members.shape)
+        keys = np.asarray(keys, dtype=np.int64)
+        check_batch_bounds(keys, self._n)
+        keys = np.broadcast_to(keys, members.shape)
         cells = members[:, None] * self._rows + np.arange(self._rows)
         if self._bucket_of is None:
             buckets = self._bucket_family.hash_at(cells, keys[:, None])

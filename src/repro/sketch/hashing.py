@@ -10,12 +10,23 @@ the standard derandomisation-friendly construction used by CountSketch
 Evaluation is fully vectorised: Horner's rule runs over ``uint64``-limb
 modular arithmetic (:func:`repro.utils.batching.polyval_mersenne`), which is
 bit-identical to exact integer arithmetic — modular reduction is exact — but
-avoids the ``object``-dtype Python-int round-trips entirely.  The *family*
-classes (:class:`KWiseHashFamily`, :class:`SignHashFamily`) stack the
-coefficient vectors of many independent hash functions and evaluate all of
-them at every requested point in one pass; replica ensembles use them to
-build the hash tables of hundreds of sketch replicas in a single numpy call,
-and single sketches use them to build all of their rows at once.
+avoids the ``object``-dtype Python-int round-trips entirely.  Table keys are
+coordinates below ``2^32``, so each Horner step splits the accumulator into
+two 32-bit limbs and forms only two limb products, folded with
+``2^61 ≡ 1`` but not reduced; the accumulator stays below ``2^63``, and one
+reduction at the end makes it exact (points at or above ``2^32`` take the
+four-limb :func:`~repro.utils.batching.mersenne_mulmod` step).  The range
+is then a mask when it is a power of two (signs: ``& 1``) and a modulo
+otherwise.  The *family* classes (:class:`KWiseHashFamily`,
+:class:`SignHashFamily`) stack the coefficient vectors of many independent
+hash functions and evaluate all of them at every requested point;
+:meth:`KWiseHashFamily.hash_all` cuts the ``(members, keys)`` table into
+member blocks × key blocks of at most
+:attr:`KWiseHashFamily._EVAL_CHUNK_CELLS` cells, so the ``uint64``
+temporaries stay cache-sized at any universe size and only the narrow
+output grows with it.  Replica ensembles use the families to build the
+hash tables of hundreds of sketch replicas in one call, and single
+sketches use them to build all of their rows at once.
 
 Shared-table cache contract
 ---------------------------
@@ -97,6 +108,25 @@ def table_dtype(range_size: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _reduce_to_range(values: np.ndarray, range_size: int) -> np.ndarray:
+    """Map ``uint64`` hash values into ``[0, range_size)`` in place.
+
+    A power-of-two range is a mask (signs: ``& 1``); any other range is
+    ``values - (values // range_size) * range_size``.  Both are exactly
+    ``values % range_size``, but NumPy's ``//`` by a scalar multiplies by a
+    precomputed reciprocal where ``%`` divides: 1.7 against 4.0 ns per
+    value on a 2-core Xeon with NumPy 2.4.
+    """
+    if range_size & (range_size - 1) == 0:
+        values &= np.uint64(range_size - 1)
+    else:
+        modulus = np.uint64(range_size)
+        quotient = values // modulus
+        quotient *= modulus
+        values -= quotient
+    return values
+
+
 def _signs_from_bits(bits: np.ndarray) -> np.ndarray:
     """Map freshly evaluated ``{0, 1}`` int8 hash bits to ``{-1, +1}`` signs
     in place (bit ``1`` is sign ``+1``)."""
@@ -163,7 +193,7 @@ class KWiseHash:
         scalar = np.isscalar(keys)
         arr = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         values = polyval_mersenne(self._coefficients, arr)
-        hashed = (values % np.uint64(self._range_size)).astype(np.int64)
+        hashed = _reduce_to_range(values, self._range_size).astype(np.int64)
         if scalar:
             return int(hashed[0])
         return hashed
@@ -275,15 +305,15 @@ class KWiseHashFamily:
         """The ``(F, k)`` ``uint64`` coefficient matrix."""
         return self._coefficients
 
-    #: Soft cap on ``members * keys`` cells per evaluation chunk.  The
-    #: Horner sweep is memory-bound, so each chunk is sized to keep its
-    #: ``uint64`` temporaries resident in the *CPU* caches (measured sweet
-    #: spot ~128k cells = 1 MB per temporary); huge stacked-replica
-    #: evaluations then run at the same per-cell cost as small ones.  This
-    #: is purely an execution-speed knob and is unrelated to the keyed
-    #: *table* cache in :mod:`repro.utils.table_cache`, which shares whole
-    #: evaluated tables between same-coefficient families.
-    _EVAL_CHUNK_CELLS = 1 << 17
+    #: Cap on ``members * keys`` cells per evaluation chunk.  The Horner
+    #: sweep is memory-bound, so :meth:`hash_all` cuts a table into member
+    #: blocks × key blocks whose three ``uint64`` temporaries stay resident
+    #: in the CPU caches at any universe size.  Measured on a 2-core Xeon
+    #: (4 MiB L2) for 10 000 members × 64 keys at ``k = 4``: 2^15 cells
+    #: (256 KiB per temporary) was fastest.  This is purely an execution
+    #: constant, unrelated to the keyed *table* cache in
+    #: :mod:`repro.utils.table_cache`.
+    _EVAL_CHUNK_CELLS = 1 << 15
 
     @property
     def dtype(self) -> np.dtype:
@@ -295,19 +325,18 @@ class KWiseHashFamily:
         :attr:`dtype`."""
         arr = np.atleast_1d(np.asarray(keys, dtype=np.int64))
         members = self._coefficients.shape[0]
-        cells = members * max(arr.size, 1)
-        modulus = np.uint64(self._range_size)
-        if cells <= self._EVAL_CHUNK_CELLS or arr.size == 0:
-            values = polyval_mersenne(self._coefficients, arr)
-            return (values % modulus).astype(self.dtype)
-        # Allocated narrow, so no full-size int64 table ever exists.
+        # Allocated narrow, so no full-size uint64 or int64 table exists.
         out = np.empty((members, arr.size), dtype=self.dtype)
-        step = max(1, self._EVAL_CHUNK_CELLS // arr.size)
-        for start in range(0, members, step):
-            stop = min(members, start + step)
-            values = polyval_mersenne(self._coefficients[start:stop], arr)
-            values %= modulus
-            out[start:stop] = values
+        key_step = max(1, min(arr.size, self._EVAL_CHUNK_CELLS))
+        member_step = max(1, self._EVAL_CHUNK_CELLS // key_step)
+        for start in range(0, members, member_step):
+            stop = min(members, start + member_step)
+            for first in range(0, arr.size, key_step):
+                last = min(arr.size, first + key_step)
+                values = polyval_mersenne(self._coefficients[start:stop],
+                                          arr[first:last])
+                out[start:stop, first:last] = _reduce_to_range(
+                    values, self._range_size)
         return out
 
     def table_key(self, universe: int, kind: str = "kwise"):
@@ -351,7 +380,7 @@ class KWiseHashFamily:
         cell equals the same cell of :meth:`hash_all`.
         """
         values = polyval_mersenne_at(self._coefficients[members], keys)
-        return (values % np.uint64(self._range_size)).astype(self.dtype)
+        return _reduce_to_range(values, self._range_size).astype(self.dtype)
 
     def hash_blocks(self, universe: int, block: int | None = None,
                     ) -> Iterator[Tuple[int, int, np.ndarray]]:

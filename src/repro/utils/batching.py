@@ -58,7 +58,6 @@ __all__ = [
     "iter_batches",
     "mersenne_mulmod",
     "mersenne_powmod",
-    "mersenne_reduce",
     "median_of_rows",
     "polyval_mersenne",
     "polyval_mersenne_at",
@@ -82,26 +81,10 @@ _EMPTY_DELTAS = np.asarray([], dtype=float)
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK32 = np.uint64((1 << 32) - 1)
 _MASK61 = np.uint64(MERSENNE_PRIME_61)
-
-
-def mersenne_reduce(values: np.ndarray) -> np.ndarray:
-    """Reduce ``uint64`` values modulo the Mersenne prime ``2^61 - 1``.
-
-    Uses the identity ``2^61 ≡ 1``: fold the high bits onto the low bits
-    twice, then subtract the prime once if needed.  The input array is not
-    modified; the folding happens in-place on a fresh copy to keep the
-    temporary count (and hence page-fault traffic on large family
-    evaluations) low.
-    """
-    values = np.array(values, dtype=np.uint64, copy=True)
-    scratch = values >> np.uint64(61)
-    values &= _MASK61
-    values += scratch
-    np.right_shift(values, np.uint64(61), out=scratch)
-    values &= _MASK61
-    values += scratch
-    np.subtract(values, _MASK61, out=values, where=values >= _MASK61)
-    return values
+_TWO32 = np.uint64(1 << 32)
+_SHIFT29 = np.uint64(29)
+_SHIFT32 = np.uint64(32)
+_SHIFT61 = np.uint64(61)
 
 
 def mersenne_mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -113,10 +96,12 @@ def mersenne_mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     two reduce via ``2^61 ≡ 1`` (so ``2^64 ≡ 8``).  Every intermediate fits
     in 64 bits, which is what makes the modular arithmetic batchable in
     numpy; operands broadcast against each other like any ufunc.  ``a`` may
-    be up to ``2^62`` (one deferred coefficient addition), which lets
-    Horner evaluation skip a full reduction per step.  The body reuses its
-    large temporaries in place: evaluating hash families for hundreds of
-    stacked replicas is memory-bound, not compute-bound.
+    be up to ``2^62`` (one deferred coefficient addition).  It is the
+    Horner step of :func:`polyval_mersenne` only for points at or above
+    ``2^32``; points below ``2^32`` (every table build) take the cheaper
+    two-limb step of :func:`_horner_mersenne`.  Sparse recovery's
+    fingerprints call it directly.  The body reuses its large temporaries
+    in place.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -175,22 +160,64 @@ def _reduce_keys(keys: np.ndarray) -> np.ndarray:
         return keys.astype(np.uint64) % np.uint64(MERSENNE_PRIME_61)
     if keys.dtype != np.int64:
         keys = keys.astype(np.int64)
+    if keys.size and keys.min() >= 0 and keys.max() < MERSENNE_PRIME_61:
+        # Coordinates are already reduced: a min, a max and a copy beat
+        # an int64 modulo (0.5 against 4.7 ns per key on a 2-core Xeon).
+        return keys.astype(np.uint64)
     return np.mod(keys, np.int64(MERSENNE_PRIME_61)).astype(np.uint64)
 
 
 def _horner_mersenne(coefficients: np.ndarray, reduced: np.ndarray,
                      shape: tuple) -> np.ndarray:
-    """Horner sweep of ``coefficients`` (``(..., k)``) at broadcast points."""
+    """Horner sweep of ``coefficients`` (``(..., k)``) at broadcast points.
+
+    Precondition: every coefficient and every point in ``reduced`` is below
+    the prime ``p = 2^61 - 1``.  The result has ``shape`` and is fully
+    reduced.
+
+    When every point is below ``2^32`` (every table build: the keys are
+    coordinates), a step needs two limb products instead of four.  With
+    ``r = rh·2^32 + rl`` and ``x < 2^32``, ``rh·x < 2^63`` carries the
+    factor ``2^32`` and ``rl·x < 2^64`` none; each is folded with
+    ``2^61 ≡ 1`` but not reduced.  Invariant: the accumulator is below
+    ``2^63`` when a step starts.  The folded product is below
+    ``2^62 + 2^34`` and adding a coefficient below ``2^61`` keeps it below
+    ``2^63``, so one reduction at the end is enough.  Larger points take
+    :func:`mersenne_mulmod`'s four-limb step.  The sweep runs in place on
+    one accumulator and two scratch arrays, with no allocation per step.
+    """
     k = coefficients.shape[-1]
-    # Horner with deferred coefficient reduction: after adding a
-    # coefficient the accumulator is below 2^62, which mersenne_mulmod
-    # tolerates, so only one full reduction is needed at the end.
-    result = np.zeros(shape, dtype=np.uint64)
-    result += coefficients[..., k - 1]
-    for power in range(k - 2, -1, -1):
-        result = mersenne_mulmod(result, reduced)
-        result += coefficients[..., power]
-    return mersenne_reduce(result)
+    acc = np.empty(shape, dtype=np.uint64)
+    acc[...] = coefficients[..., k - 1]
+    high = np.empty_like(acc)
+    if reduced.size and reduced.max() >= _TWO32:
+        for power in range(k - 2, -1, -1):
+            acc = mersenne_mulmod(acc, reduced)
+            acc += coefficients[..., power]
+    elif k > 1:
+        low = np.empty_like(acc)
+        for power in range(k - 2, -1, -1):
+            np.right_shift(acc, _SHIFT32, out=high)
+            high *= reduced                 # rh·x < 2^63, times 2^32
+            acc &= _MASK32
+            acc *= reduced                  # rl·x < 2^64
+            np.right_shift(acc, _SHIFT61, out=low)
+            acc &= _MASK61
+            acc += low                      # rl·x folded: < 2^61 + 8
+            # rh·x·2^32 ≡ (rh·x >> 29) + (rh·x mod 2^29)·2^32.
+            np.right_shift(high, _SHIFT29, out=low)
+            acc += low
+            high &= _MASK29
+            high <<= _SHIFT32
+            acc += high                     # < 2^62 + 2^34
+            acc += coefficients[..., power]  # < 2^63
+    # acc < 2^63: one fold leaves it below p + 4, one subtraction below p.
+    np.right_shift(acc, _SHIFT61, out=high)
+    acc &= _MASK61
+    acc += high
+    np.subtract(acc, _MASK61, out=high)
+    np.minimum(acc, high, out=acc)          # a wrapped difference is larger
+    return acc
 
 
 def polyval_mersenne(coefficients: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -6,6 +6,9 @@ sketch's rows with a min/max network; it must equal ``np.median`` under
 signs aside) for every row count, including the counts that fall back to
 ``np.median``.  The pointwise hash evaluation behind single-cell point
 queries must equal the corresponding cells of a full family evaluation.
+Every point query refuses a coordinate outside the universe, in both
+table modes and both sampler backends, instead of wrapping it or hashing
+it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import (AveragedCountSketch, CountSketch, JW18LpSampler,
+                   build_ensemble, make_perfect_lp_sampler, table_mode)
+from repro.exceptions import InvalidParameterError
 from repro.sketch.hashing import KWiseHashFamily, SignHashFamily
 from repro.utils.batching import median_of_rows, polyval_mersenne, polyval_mersenne_at
 
@@ -76,3 +82,61 @@ def test_hash_at_and_sign_at_match_full_family_cells() -> None:
                                   buckets.hash_all(keys)[members, at])
     np.testing.assert_array_equal(signs.sign_at(members, at),
                                   signs.sign_all(keys)[members, at])
+
+
+N = 64
+OUTSIDE = [-1, N]
+MODES = ["cached", "blocked"]
+
+
+def _fed(structure):
+    rng = np.random.default_rng(9)
+    structure.update_batch(rng.integers(0, N, size=200),
+                           rng.standard_normal(200))
+    return structure
+
+
+def _refuses(query) -> None:
+    with pytest.raises(InvalidParameterError, match="outside universe"):
+        query()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("key", OUTSIDE)
+def test_countsketch_point_queries_refuse_keys_outside_the_universe(mode, key):
+    with table_mode(mode):
+        ensemble = _fed(build_ensemble(
+            [CountSketch(N, 16, 5, seed=s) for s in range(3)]))
+        averaged = _fed(AveragedCountSketch(N, 16, 5, 4, seed=1))
+    _refuses(lambda: ensemble.estimate_member(0, key))
+    _refuses(lambda: ensemble.estimate_members_at(slice(None), key))
+    _refuses(lambda: ensemble.estimate_at(np.arange(3), [1, key, 2]))
+    _refuses(lambda: averaged.estimate(key))
+    _refuses(lambda: averaged.instance_estimates(key))
+    _refuses(lambda: averaged.grouped_estimates(key, 2))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("key", OUTSIDE)
+@pytest.mark.parametrize("exact", [False, True])
+def test_jw18_value_estimates_refuse_keys_outside_the_universe(mode, key, exact):
+    with table_mode(mode):
+        sampler = _fed(JW18LpSampler(N, 2.0, seed=4, exact_recovery=exact))
+        ensemble = _fed(build_ensemble(
+            [JW18LpSampler(N, 2.0, seed=s, exact_recovery=exact)
+             for s in range(3)]))
+    ensemble.sample_replica(0)  # fills the per-state candidate arrays
+    _refuses(lambda: sampler.estimate_value(key))
+    _refuses(lambda: sampler.independent_value_estimates(key, 2))
+    _refuses(lambda: ensemble.estimate_value(0, key))
+    _refuses(lambda: ensemble.independent_value_estimates(0, key, 2))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("key", OUTSIDE)
+@pytest.mark.parametrize("backend", ["sketch", "oracle"])
+def test_perfect_lp_value_estimate_refuses_keys_outside_the_universe(
+        mode, key, backend):
+    with table_mode(mode):
+        sampler = _fed(make_perfect_lp_sampler(N, 3, seed=2, backend=backend))
+    _refuses(lambda: sampler.estimate_value(key))

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.sketch.hashing import (MERSENNE_PRIME, KWiseHash, KWiseHashFamily,
                                   PairwiseHash, SignHash, SignHashFamily, UniformHash)
+from repro.utils.batching import polyval_mersenne, polyval_mersenne_at
 
 
 class TestKWiseHash:
@@ -179,3 +182,116 @@ class TestVectorizedKernelBitIdentity:
         keys = np.arange(128)
         stacked = np.stack([SignHash(seed=s)(keys) for s in seeds])
         np.testing.assert_array_equal(family.sign_all(keys), stacked)
+
+    # The Horner kernel takes a two-limb step when every point is below
+    # 2^32 and mersenne_mulmod's four-limb step otherwise; both defer the
+    # reduction to one fold at the end.  These cases pin the bounds that
+    # deferral relies on and the branch between the two steps.
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_worst_case_accumulator(self, k):
+        coefficients = np.full((1, k), MERSENNE_PRIME - 1, dtype=np.uint64)
+        keys = np.asarray([0, 1, 2**32 - 2, 2**32 - 1], dtype=np.int64)
+        np.testing.assert_array_equal(
+            polyval_mersenne(coefficients, keys)[0].astype(np.int64),
+            _object_dtype_reference(coefficients[0], keys, MERSENNE_PRIME))
+
+    @pytest.mark.parametrize("point", [1, 2**32])
+    def test_sum_landing_on_the_prime_reduces_to_zero(self, point):
+        # (p - x) + 1·x is p before the last subtraction, in either step.
+        coefficients = np.asarray([[MERSENNE_PRIME - point, 1]], dtype=np.uint64)
+        assert int(polyval_mersenne(coefficients, np.asarray([point]))[0, 0]) == 0
+
+    @pytest.mark.parametrize("edge", [
+        [2**32 - 1], [2**32], [MERSENNE_PRIME - 1], [MERSENNE_PRIME],
+        [MERSENNE_PRIME + 1], [-1]])
+    def test_two_limb_branch_boundary(self, edge):
+        rng = np.random.default_rng(17)
+        coefficients = rng.integers(0, MERSENNE_PRIME, size=(6, 5)).astype(np.uint64)
+        keys = np.concatenate([rng.integers(0, 2**32 - 1, size=40), edge])
+        values = polyval_mersenne(coefficients, keys)
+        for member in range(6):
+            np.testing.assert_array_equal(
+                values[member].astype(np.int64),
+                _object_dtype_reference(coefficients[member], keys,
+                                        MERSENNE_PRIME))
+
+    @pytest.mark.parametrize("high", [2**20, 2**40])
+    def test_polyval_at_estimate_at_broadcast(self, high):
+        # (M, rows) polynomials against one (M, 1) key per member, the
+        # shape CountSketchEnsemble.estimate_at evaluates.
+        rng = np.random.default_rng(23)
+        coefficients = rng.integers(0, MERSENNE_PRIME, size=(7, 5, 4)).astype(np.uint64)
+        keys = rng.integers(0, high, size=(7, 1))
+        values = polyval_mersenne_at(coefficients, keys)
+        assert values.shape == (7, 5)
+        for member in range(7):
+            for row in range(5):
+                reference = _object_dtype_reference(
+                    coefficients[member, row], keys[member], MERSENNE_PRIME)
+                assert int(values[member, row]) == int(reference[0])
+
+    @pytest.mark.parametrize("members,keys", [(1, 1000), (9, 77), (40, 3)])
+    def test_chunks_straddle_both_axes(self, members, keys, monkeypatch):
+        rng = np.random.default_rng(members)
+        family = KWiseHashFamily.from_rng(rng, members, 4, 1009)
+        points = rng.integers(0, 2**32, size=keys)
+        monkeypatch.setattr(KWiseHashFamily, "_EVAL_CHUNK_CELLS", 64)
+        table = family.hash_all(points)
+        for member in range(members):
+            np.testing.assert_array_equal(
+                table[member],
+                _object_dtype_reference(family.coefficients[member], points, 1009))
+
+    @pytest.mark.parametrize("range_size", [
+        1, 2, 3, 128, 129, 2**15, 2**40, 2**53 - 1])
+    def test_ranges_mask_and_modulo(self, range_size):
+        rng = np.random.default_rng(range_size % 1000)
+        family = KWiseHashFamily.from_rng(rng, 5, 3, range_size)
+        keys = np.arange(300)
+        table = family.hash_all(keys)
+        assert table.dtype == family.dtype
+        at = family.hash_at(np.arange(5)[:, None], keys[None, :])
+        np.testing.assert_array_equal(at, table)
+        for member in range(5):
+            np.testing.assert_array_equal(
+                table[member].astype(np.int64),
+                _object_dtype_reference(family.coefficients[member], keys,
+                                        range_size))
+        hashed = KWiseHash(3, range_size, seed=range_size % 97)
+        np.testing.assert_array_equal(
+            hashed(keys), _object_dtype_reference(hashed.coefficients, keys,
+                                                  range_size))
+
+
+def _traced_peak(evaluate) -> int:
+    """Bytes ``evaluate()`` allocates at its peak, above what was live."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        evaluate()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestEvaluationMemory:
+    """``hash_all`` chunks along members *and* keys, so its ``uint64``
+    temporaries stay cache-sized however large the universe is; the peak is
+    the narrow output plus a few chunks."""
+
+    def test_one_member_sign_table_over_four_million_keys(self):
+        family = SignHashFamily.from_rng(np.random.default_rng(0), 1)
+        keys = np.arange(2**22)
+        # 4 MiB of int8 output.
+        assert _traced_peak(lambda: family.sign_all(keys)) <= 16 * 2**20
+
+    def test_seven_member_bucket_table_over_a_million_keys(self):
+        family = KWiseHashFamily.from_rng(np.random.default_rng(0), 7, 2, 4096)
+        keys = np.arange(2**20)
+        # 14 MiB of int16 output.
+        assert _traced_peak(lambda: family.hash_all(keys)) <= 24 * 2**20
