@@ -38,6 +38,7 @@ from repro.exceptions import InvalidParameterError
 from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
 from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.countsketch import AveragedCountSketch, CountSketch, CountSketchEnsemble
+from repro.utils.batching import check_member_index
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_moment_order, require_positive_int
@@ -503,6 +504,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
 
     def estimate_value(self, replica: int, index: int) -> float:
         """Replica's estimate of ``x_index`` (matches the standalone method)."""
+        check_member_index(replica, self.num_replicas, "replica")
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         instance = self._instances[replica]
@@ -515,6 +517,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
     def independent_value_estimates(self, replica: int, index: int, count: int,
                                     group_size: int | None = None) -> np.ndarray:
         """Replica's ``count`` (nearly) independent estimates of ``x_index``."""
+        check_member_index(replica, self.num_replicas, "replica")
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         require_positive_int(count, "count")
@@ -541,6 +544,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         test's jitter still comes from the replica's own generator, and the
         threshold and value arithmetic stay scalar, as in ``sample()``.
         """
+        check_member_index(replica, self.num_replicas, "replica")
         if self._num_updates == 0:
             return None
         candidates = self._candidate_arrays()

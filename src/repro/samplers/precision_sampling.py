@@ -25,6 +25,7 @@ from repro.exceptions import InvalidParameterError
 from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
 from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
+from repro.utils.batching import check_member_index
 from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_in_open_interval, require_moment_order, require_positive_int
@@ -239,6 +240,7 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
 
     def sample_replica(self, replica: int) -> Optional[Sample]:
         """One-shot draw of replica ``replica`` (mirrors ``sample()``)."""
+        check_member_index(replica, self.num_replicas, "replica")
         if self._num_updates == 0:
             return None
         instance = self._instances[replica]

@@ -18,6 +18,7 @@ from repro.sketch.hashing import SignHashFamily
 from repro.utils.batching import (
     BatchUpdateMixin,
     check_batch_bounds,
+    check_member_index,
     coerce_batch,
     coerce_indices,
     median_of_rows,
@@ -406,6 +407,7 @@ class AMSEnsemble(ReplicaEnsemble):
 
     def estimate_f2_member(self, member: int) -> float:
         """Median-of-means ``F_2`` estimate of one member."""
+        check_member_index(member, self.num_members)
         if self._num_updates[member] == 0:
             raise SamplerStateError("AMS sketch queried before any update")
         squares = self._counters[member] ** 2

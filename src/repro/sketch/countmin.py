@@ -20,7 +20,12 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.sketch.hashing import KWiseHashFamily
-from repro.utils.batching import BatchUpdateMixin, check_batch_bounds, coerce_batch
+from repro.utils.batching import (
+    BatchUpdateMixin,
+    check_batch_bounds,
+    check_member_index,
+    coerce_batch,
+)
 from repro.utils.ensemble import ReplicaEnsemble, member_chunks, register_ensemble
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.table_cache import resolve_table_block, resolve_table_mode
@@ -380,6 +385,7 @@ class CountMinEnsemble(ReplicaEnsemble):
 
     def estimate_member(self, member: int, index: int) -> float:
         """Point query of one member (matches ``CountMin.estimate``)."""
+        check_member_index(member, self.num_members)
         if not (0 <= index < self._n):
             raise InvalidParameterError(
                 f"index {index} outside universe [0, {self._n})")
@@ -393,6 +399,7 @@ class CountMinEnsemble(ReplicaEnsemble):
 
     def estimate_all_member(self, member: int) -> np.ndarray:
         """``estimate_all`` of one member (bit-identical to standalone)."""
+        check_member_index(member, self.num_members)
         table = self._table
         rows = np.arange(self._rows)[:, None]
         if self._table_mode == "blocked":

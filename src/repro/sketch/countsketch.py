@@ -40,6 +40,7 @@ from repro.utils.batching import (
     BatchUpdateMixin,
     aggregate_scatter,
     check_batch_bounds,
+    check_member_index,
     coerce_batch,
     coerce_indices,
     fused_bincount_add,
@@ -623,6 +624,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
         ensemble unpickled from a worker), never by building the tables.
         """
         members = np.asarray(members, dtype=np.int64)
+        check_member_index(members, self.num_members)
         keys = np.asarray(keys, dtype=np.int64)
         check_batch_bounds(keys, self._n)
         keys = np.broadcast_to(keys, members.shape)
@@ -670,6 +672,7 @@ class CountSketchEnsemble(ReplicaEnsemble):
 
     def estimate_all_member(self, member: int) -> np.ndarray:
         """``estimate_all`` of one member (bit-identical to standalone)."""
+        check_member_index(member, self.num_members)
         return self._estimate_all_range(member, member + 1)[0]
 
     def estimate_all_members(self) -> np.ndarray:

@@ -38,6 +38,7 @@ public names as the documented API surface.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Tuple
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "coerce_batch",
     "coerce_indices",
     "check_batch_bounds",
+    "check_member_index",
     "fused_bincount_add",
     "stream_arrays",
     "iter_batches",
@@ -352,6 +354,25 @@ def check_batch_bounds(indices: np.ndarray, n: int) -> None:
     if indices.size and (int(indices.min()) < 0 or int(indices.max()) >= n):
         bad = int(indices[(indices < 0) | (indices >= n)][0])
         raise InvalidParameterError(f"index {bad} outside universe [0, {n})")
+
+
+def check_member_index(index, count: int, kind: str = "member") -> None:
+    """Reject an ensemble member or replica index outside ``[0, count)``.
+
+    ``index`` is one integer (Python or numpy) or an integer array, which
+    costs one min/max.  Ensemble queries index stacked arrays, where a
+    negative index would silently answer for another member.
+    """
+    if isinstance(index, np.ndarray):
+        if not index.size:
+            return
+        low, high = int(index.min()), int(index.max())
+    else:
+        low = high = operator.index(index)
+    if low < 0 or high >= count:
+        bad = low if low < 0 else high
+        raise InvalidParameterError(
+            f"{kind} index {bad} outside [0, {count})")
 
 
 def stream_arrays(stream) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ as a pickle error or a silently wrong object.
 Snapshot format version 2 (integers big-endian)::
 
     MAGIC (4s = b"RSNP") | FORMAT_VERSION (B) | header_crc32 (I)
-    then one transport wire message (:func:`repro.utils.transport.encode_frames`):
+    then one transport wire message (:func:`repro.utils.transport.encode_parts`):
         frame 0:  UTF-8 JSON metadata {"format": "repro-snapshot",
                   "snapshot_version": 2, "class": "<module>.<qualname>",
                   "extra": {...caller metadata...}}
@@ -27,13 +27,21 @@ Snapshot format version 2 (integers big-endian)::
     The metadata frame is JSON — a snapshot's identity (format version,
     object class, caller extras such as a service ingest sequence) can be
     inspected with :func:`snapshot_metadata` without unpickling anything.
-    Frames may be zlib-compressed per the transport flags byte; the
-    decompressed size is bounded before decompression (zip-bomb guard
-    inherited from the transport).
 
     Version 2 differs from version 1 only in the pickled objects:
     version-1 ensembles reference the deleted array-backend module, so
     the header check refuses them before anything is unpickled.
+
+Raw frames
+    Frames are written raw (transport flag 0).  What a snapshot carries is
+    mostly counters of scaled vectors ``x_i / e_i^{1/p}``, full-entropy
+    floats that deflate barely at all: on a ``PerfectLpSampler(1024, 3)``
+    after 56 ingest batches, zlib level 6 took 0.80 s to shrink 19.2 MB of
+    counters to 16.8 MB, the bulk of a ~1.1 s checkpoint.  Readers still
+    accept zlib-flagged frames, the default of earlier builds, so every
+    version-2 file those wrote still loads; the decompressed size is
+    bounded before decompression (zip-bomb guard inherited from the
+    transport).
 
 Incremental checkpointing
     Snapshots compose through the ``merge`` protocol: linear-sketch state
@@ -53,12 +61,16 @@ Trust model
     ``extra`` metadata is JSON, never pickle, so *inspection* via
     :func:`snapshot_metadata` is safe on untrusted files.
 
-Writes are atomic: :func:`save_snapshot` writes to a same-directory
-temporary file, fsyncs, then ``os.replace``\\ s it over the target, so a
-crash mid-write leaves either the old snapshot or the new one — never a
-torn file (the load-side CRCs would catch a torn file anyway; atomicity
-keeps the *previous* checkpoint available instead of merely detecting
-the loss of the new one).
+Writes are streamed and atomic: :func:`save_snapshot` writes the frame
+headers and the pickle's out-of-band buffer views straight into a
+same-directory temporary file — one pickle, one CRC pass and one write,
+with no full-size copy of the state — fsyncs, then ``os.replace``\\ s it
+over the target, so a crash mid-write leaves either the old snapshot or
+the new one — never a torn file (the load-side CRCs would catch a torn
+file anyway; atomicity keeps the *previous* checkpoint available instead
+of merely detecting the loss of the new one).  Because the buffers are
+read from the live arrays while the file is written, the object must not
+be mutated during the call.
 """
 
 from __future__ import annotations
@@ -75,7 +87,7 @@ from repro.utils.transport import (
     TransportError,
     decode_frames,
     dumps_frames,
-    encode_frames,
+    encode_parts,
     loads_frames,
 )
 
@@ -98,11 +110,6 @@ _PREFIX = struct.Struct(">4sB")       # magic, format version
 _PREFIX_CRC = struct.Struct(">I")     # crc32 over the prefix bytes
 _FORMAT_NAME = "repro-snapshot"
 
-#: Snapshots compress well (hash tables are dropped; what remains is
-#: coefficients plus counter arrays) and live on disk, so compression
-#: defaults on — unlike the latency-sensitive socket transport.
-DEFAULT_COMPRESSION: Optional[str] = "zlib"
-
 
 class SnapshotError(ReproError):
     """A snapshot is corrupted, truncated, or not a snapshot at all.
@@ -119,17 +126,13 @@ def _qualified_name(obj: object) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def snapshot_bytes(obj: object, *,
-                   compression: Optional[str] = DEFAULT_COMPRESSION,
-                   extra: Optional[dict] = None) -> bytes:
-    """Serialise ``obj`` into one self-checking snapshot byte string.
+def _snapshot_parts(obj: object, extra: Optional[dict]) -> list:
+    """The snapshot of ``obj`` as a list of bytes-like parts.
 
-    ``extra`` is caller metadata (JSON-serialisable dict) stored in the
-    metadata frame — e.g. the sampler service records its ingest
-    sequence number so a restore knows which deltas to replay.  The
-    in-memory twin of :func:`save_snapshot`, used for checkpoint
-    round-trips that never touch disk and by the corruption property
-    suite.
+    The prefix with its CRC, then the transport parts of the metadata
+    frame and the pickle frames.  The buffer parts are views of ``obj``'s
+    arrays, not copies, and their CRCs are taken now: a mutation of
+    ``obj`` before the parts are written makes them disagree.
     """
     if extra is not None and not isinstance(extra, dict):
         raise SnapshotError(
@@ -147,10 +150,22 @@ def snapshot_bytes(obj: object, *,
         raise SnapshotError(
             f"snapshot extra metadata is not JSON-serialisable: "
             f"{error}") from error
-    body = encode_frames([meta_frame] + dumps_frames(obj),
-                         compression=compression)
     prefix = _PREFIX.pack(_MAGIC, SNAPSHOT_VERSION)
-    return prefix + _PREFIX_CRC.pack(zlib.crc32(prefix)) + body
+    return ([prefix + _PREFIX_CRC.pack(zlib.crc32(prefix))]
+            + encode_parts([meta_frame] + dumps_frames(obj)))
+
+
+def snapshot_bytes(obj: object, *, extra: Optional[dict] = None) -> bytes:
+    """Serialise ``obj`` into one self-checking snapshot byte string.
+
+    ``extra`` is caller metadata (JSON-serialisable dict) stored in the
+    metadata frame — e.g. the sampler service records its ingest
+    sequence number so a restore knows which deltas to replay.  The
+    in-memory twin of :func:`save_snapshot` (the same bytes that function
+    writes), used for checkpoint round-trips that never touch disk and by
+    the corruption property suite.
+    """
+    return b"".join(_snapshot_parts(obj, extra))
 
 
 def _split_snapshot(data: bytes) -> list[bytes]:
@@ -256,22 +271,26 @@ def object_from_snapshot(data: bytes, *,
 
 
 def save_snapshot(obj: object, path, *,
-                  compression: Optional[str] = DEFAULT_COMPRESSION,
                   extra: Optional[dict] = None) -> int:
     """Atomically write a snapshot of ``obj`` to ``path``; bytes written.
 
-    The snapshot is staged in a same-directory temporary file, flushed
-    and fsynced, then renamed over ``path`` — concurrent readers see
-    either the previous snapshot or the complete new one.
+    The file holds exactly :func:`snapshot_bytes` of ``obj``, but its
+    parts are streamed into a same-directory temporary file instead of
+    joined first, so no full-size copy of the state is made.  The file
+    is flushed and fsynced, then renamed over ``path`` — concurrent
+    readers see either the previous snapshot or the complete new one.
+    The out-of-band buffers are read from ``obj``'s live arrays during
+    the write, so the caller must not mutate ``obj`` until this returns
+    (the sampler service holds its state lock across the call).
     """
-    data = snapshot_bytes(obj, compression=compression, extra=extra)
+    parts = _snapshot_parts(obj, extra)
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp_path = os.path.join(directory,
                             f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp_path, "wb") as handle:
-            handle.write(data)
+            handle.writelines(parts)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -284,7 +303,7 @@ def save_snapshot(obj: object, path, *,
                 os.unlink(tmp_path)
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
-    return len(data)
+    return sum(memoryview(part).nbytes for part in parts)
 
 
 def read_snapshot(path, *, expected_type: Optional[type] = None,

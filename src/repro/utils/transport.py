@@ -118,6 +118,7 @@ __all__ = [
     "decode_frames",
     "dumps_frames",
     "encode_frames",
+    "encode_parts",
     "frame_reader",
     "frames_as_bytes",
     "frames_nbytes",
@@ -310,9 +311,15 @@ def frames_nbytes(frames: Sequence) -> int:
     return sum(memoryview(frame).nbytes for frame in frames)
 
 
-def _encode_parts(frames: Sequence, *, compression: Optional[str],
-                  min_compress_bytes: int) -> list:
-    """Wire parts (headers interleaved with payload views) for ``frames``."""
+def encode_parts(frames: Sequence, *, compression: Optional[str] = None,
+                 min_compress_bytes: int = DEFAULT_MIN_COMPRESS_BYTES) -> list:
+    """Wire parts (headers interleaved with payload views) for ``frames``.
+
+    The one encoder behind :func:`encode_frames`, :func:`send_frames` and
+    the snapshot writer.  Raw frames are returned as views of the
+    originals, never copied, so the parts alias the source arrays until
+    they are written.
+    """
     frames = list(frames)
     compress = _codec_compressor(compression) if compression else None
     flag_value = _CODECS[compression][0] if compression else _FLAG_RAW
@@ -345,10 +352,8 @@ def encode_frames(frames: Sequence, *, compression: Optional[str] = None,
     this helper exists so the fault-injection and property suites can
     corrupt, truncate, and replay messages byte by byte.
     """
-    return b"".join(bytes(part) if not isinstance(part, bytes) else part
-                    for part in _encode_parts(
-                        frames, compression=compression,
-                        min_compress_bytes=min_compress_bytes))
+    return b"".join(encode_parts(frames, compression=compression,
+                                 min_compress_bytes=min_compress_bytes))
 
 
 def send_frames(sock: socket.socket, frames: Sequence, *,
@@ -362,8 +367,8 @@ def send_frames(sock: socket.socket, frames: Sequence, *,
     :func:`available_codecs` applied per frame above the
     ``min_compress_bytes`` threshold (and only when it shrinks the frame).
     """
-    parts = _encode_parts(frames, compression=compression,
-                          min_compress_bytes=min_compress_bytes)
+    parts = encode_parts(frames, compression=compression,
+                         min_compress_bytes=min_compress_bytes)
     total = 0
     try:
         for part in parts:

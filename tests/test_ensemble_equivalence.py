@@ -39,12 +39,14 @@ from repro.streams.generators import (
     turnstile_stream_with_cancellations,
     zipfian_frequency_vector,
 )
+from repro.utils import ensemble as ensemble_module
 from repro.utils.ensemble import (
     LevelStackEnsemble,
     SamplerEnsemble,
     build_ensemble,
     ensemble_samples,
 )
+from repro.utils.table_cache import table_mode
 
 N = 40
 REPLICAS = 14
@@ -328,6 +330,47 @@ def test_chunked_ensemble_ingest_matches_single_batch(stream) -> None:
     # each batch; across different chunkings we allow tiny re-association.
     np.testing.assert_allclose(one_shot._table, chunked._table,
                                rtol=1e-12, atol=1e-12)
+
+
+def _scatter_tables(mode: str) -> list:
+    """Member tables after each chunked scatter path, in one table mode.
+
+    Batches of 7, 60 and 3000 updates take the ``np.add.at`` path (fewer
+    updates than buckets) and the fused bincount, the largest splitting
+    the default cap into several member chunks; CountSketch deltas come
+    as ``(B,)``, ``(M, B)`` and grouped ``(G, B)`` rows.
+    """
+    rng = np.random.default_rng(17)
+    with table_mode(mode):
+        sketches = build_ensemble([CountSketch(N, 16, 5, seed=s)
+                                   for s in range(6)])
+        counts = build_ensemble([CountMin(N, 16, 5, seed=s)
+                                 for s in range(6)])
+    tables = []
+    for batch in (7, 60, 3000):
+        indices = rng.integers(0, N, size=batch)
+        for rows in (None, 6, 3):
+            shape = batch if rows is None else (rows, batch)
+            sketches.update_batch(indices, rng.standard_normal(shape))
+            tables.append(sketches.member_tables().copy())
+        counts.update_batch(indices, rng.standard_normal(batch))
+        tables.append(counts._table.copy())
+    sketches.update_vector(rng.standard_normal(N))
+    tables.append(sketches.member_tables().copy())
+    return tables
+
+
+@pytest.mark.parametrize("mode", ["cached", "blocked"])
+def test_scatter_chunk_cap_does_not_change_bits(mode, monkeypatch) -> None:
+    """Chunks split between whole members or groups, never inside one, so
+    every cell accumulates in the same order whatever the cap."""
+    reference = _scatter_tables(mode)
+    for cap in (1, 1 << 40):
+        monkeypatch.setattr(ensemble_module, "SCATTER_CHUNK_ELEMENTS", cap)
+        for step, (left, right) in enumerate(
+                zip(reference, _scatter_tables(mode), strict=True)):
+            np.testing.assert_array_equal(
+                left, right, err_msg=f"cap {cap}, step {step}")
 
 
 def test_duck_typed_update_stream_only_samplers_replay_records() -> None:

@@ -8,7 +8,8 @@ signs aside) for every row count, including the counts that fall back to
 queries must equal the corresponding cells of a full family evaluation.
 Every point query refuses a coordinate outside the universe, in both
 table modes and both sampler backends, instead of wrapping it or hashing
-it.
+it, and every ensemble query refuses a member or replica index outside
+the ensemble instead of wrapping it to another member.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import warnings
 import numpy as np
 import pytest
 
-from repro import (AveragedCountSketch, CountSketch, JW18LpSampler,
-                   build_ensemble, make_perfect_lp_sampler, table_mode)
+from repro import (AMSSketch, AveragedCountSketch, CountMin, CountSketch,
+                   JW18LpSampler, build_ensemble, make_perfect_lp_sampler,
+                   table_mode)
 from repro.exceptions import InvalidParameterError
+from repro.samplers.precision_sampling import PrecisionLpSampler
 from repro.sketch.hashing import KWiseHashFamily, SignHashFamily
 from repro.utils.batching import median_of_rows, polyval_mersenne, polyval_mersenne_at
 
@@ -140,3 +143,68 @@ def test_perfect_lp_value_estimate_refuses_keys_outside_the_universe(
     with table_mode(mode):
         sampler = _fed(make_perfect_lp_sampler(N, 3, seed=2, backend=backend))
     _refuses(lambda: sampler.estimate_value(key))
+
+
+#: Ensemble size of the member/replica index tests; -1 and M are the
+#: first indices outside it on either side.
+M = 3
+
+
+@pytest.fixture(scope="module", params=MODES)
+def ensembles(request):
+    """One fed 3-member ensemble of each queried substrate, per table mode."""
+    with table_mode(request.param):
+        return {
+            "countsketch": _fed(build_ensemble(
+                [CountSketch(N, 16, 5, seed=s) for s in range(M)])),
+            "countmin": _fed(build_ensemble(
+                [CountMin(N, 16, 5, seed=s) for s in range(M)])),
+            "ams": _fed(build_ensemble([AMSSketch(N, seed=s) for s in range(M)])),
+            "jw18": _fed(build_ensemble(
+                [JW18LpSampler(N, 2.0, seed=s) for s in range(M)])),
+            "precision": _fed(build_ensemble(
+                [PrecisionLpSampler(N, 1.5, seed=s) for s in range(M)])),
+        }
+
+
+MEMBER_QUERIES = {
+    "countsketch.estimate_member":
+        lambda e, m: e["countsketch"].estimate_member(m, 5),
+    "countsketch.estimate_at":
+        lambda e, m: e["countsketch"].estimate_at(np.array([0, m]), 5),
+    "countsketch.estimate_all_member":
+        lambda e, m: e["countsketch"].estimate_all_member(m),
+    "countmin.estimate_member":
+        lambda e, m: e["countmin"].estimate_member(m, 5),
+    "countmin.estimate_all_member":
+        lambda e, m: e["countmin"].estimate_all_member(m),
+    "ams.estimate_f2_member": lambda e, m: e["ams"].estimate_f2_member(m),
+    "jw18.estimate_value": lambda e, m: e["jw18"].estimate_value(m, 5),
+    "jw18.independent_value_estimates":
+        lambda e, m: e["jw18"].independent_value_estimates(m, 5, 2),
+    "jw18.sample_replica": lambda e, m: e["jw18"].sample_replica(m),
+    "precision.sample_replica": lambda e, m: e["precision"].sample_replica(m),
+}
+
+
+@pytest.mark.parametrize("member", [-1, M])
+@pytest.mark.parametrize("query", list(MEMBER_QUERIES))
+def test_ensemble_queries_refuse_member_indices_outside_the_ensemble(
+        ensembles, query, member):
+    """-1 must not wrap to the last member, and M must not surface as a
+    raw numpy error or a silent FAIL."""
+    with pytest.raises(InvalidParameterError,
+                       match=rf"(member|replica) index {member} outside "
+                             rf"\[0, {M}\)"):
+        MEMBER_QUERIES[query](ensembles, member)
+
+
+def test_ensemble_queries_accept_numpy_integer_indices(ensembles):
+    sketch = ensembles["countsketch"]
+    assert sketch.estimate_member(np.int64(2), 5) == sketch.estimate_member(2, 5)
+    np.testing.assert_array_equal(sketch.estimate_all_member(np.int32(1)),
+                                  sketch.estimate_all_member(1))
+    assert (ensembles["ams"].estimate_f2_member(np.uint8(2))
+            == ensembles["ams"].estimate_f2_member(2))
+    with pytest.raises(InvalidParameterError, match="outside"):
+        sketch.estimate_member(np.int64(-1), 5)

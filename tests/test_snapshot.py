@@ -18,9 +18,18 @@ full ensemble registry (the ``CASES`` list of
   truncation, and trailing garbage raise :class:`SnapshotError`
   (exhaustive per example, hypothesis supplying payload diversity —
   mirroring the transport property suite).
+
+The writer streams raw frames: the file :func:`save_snapshot` writes is
+byte-for-byte :func:`snapshot_bytes`, it makes no full-size copy of the
+state, and zlib-flagged files of earlier builds still load.
 """
 
 from __future__ import annotations
+
+import json
+import struct
+import tracemalloc
+import zlib
 
 import pytest
 
@@ -46,6 +55,11 @@ from repro.utils.snapshot import (  # noqa: E402
     save_snapshot,
     snapshot_bytes,
     snapshot_metadata,
+)
+from repro.utils.transport import (  # noqa: E402
+    dumps_frames,
+    encode_frames,
+    frames_nbytes,
 )
 
 REPLICAS = 5
@@ -100,12 +114,15 @@ def test_solo_instance_roundtrip(case, stream) -> None:
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
 def test_ensemble_roundtrip_through_file(case, stream, tmp_path) -> None:
-    """save_snapshot → load_snapshot is exact for every stacked ensemble."""
+    """save_snapshot → load_snapshot is exact for every stacked ensemble,
+    and the streamed file is exactly the in-memory snapshot."""
     ensemble = build_ensemble([case.factory(seed) for seed in range(REPLICAS)])
     ensemble.update_stream(stream)
     path = tmp_path / f"{case.name}.rsnp"
     nbytes = save_snapshot(ensemble, path, extra={"case": case.name})
     assert nbytes == path.stat().st_size
+    assert path.read_bytes() == snapshot_bytes(ensemble,
+                                               extra={"case": case.name})
     restored, meta = read_snapshot(path, expected_type=type(ensemble))
     assert meta["extra"] == {"case": case.name}
     for replica in range(REPLICAS):
@@ -115,6 +132,22 @@ def test_ensemble_roundtrip_through_file(case, stream, tmp_path) -> None:
         _assert_query_equal(case, case.ensemble_query(ensemble, replica),
                             case.ensemble_query(restored, replica),
                             f"{case.name}[{replica}]")
+
+
+def test_save_makes_no_full_size_copy(tmp_path) -> None:
+    """32 MiB of counters are written from the array itself: the traced
+    peak stays under 1 MiB (a joined or compressed body would not)."""
+    state = {"counters": np.random.default_rng(0).standard_normal(4 << 20)}
+    path = tmp_path / "counters.rsnp"
+    tracemalloc.start()
+    try:
+        save_snapshot(state, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, f"save_snapshot peaked at {peak / 2**20:.1f} MiB"
+    restored = load_snapshot(path)
+    np.testing.assert_array_equal(restored["counters"], state["counters"])
 
 
 def _integer_batches():
@@ -170,13 +203,46 @@ def test_saved_base_plus_delta_is_incremental_checkpoint(case) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _small_snapshot(seed: int, compression) -> bytes:
+def _zlib_snapshot(obj, extra: dict) -> bytes:
+    """A version-2 snapshot as earlier builds wrote it by default: the same
+    prefix and metadata, with every frame of 512+ bytes deflated when that
+    shrinks it."""
+    meta = {"format": "repro-snapshot", "snapshot_version": 2,
+            "class": f"{type(obj).__module__}.{type(obj).__qualname__}",
+            "extra": extra}
+    prefix = struct.pack(">4sB", b"RSNP", 2)
+    frames = [json.dumps(meta, sort_keys=True).encode("utf-8")]
+    return (prefix + struct.pack(">I", zlib.crc32(prefix))
+            + encode_frames(frames + dumps_frames(obj), compression="zlib"))
+
+
+def _small_snapshot(seed: int, codec) -> bytes:
     sketch = CountSketch(8, 4, 2, seed=seed)
     rng = np.random.default_rng(seed)
     sketch.update_batch(rng.integers(0, 8, size=32),
                         rng.integers(-9, 10, size=32).astype(float))
-    return snapshot_bytes(sketch, compression=compression,
-                          extra={"sequence": int(seed)})
+    extra = {"sequence": int(seed)}
+    if codec == "zlib":
+        return _zlib_snapshot(sketch, extra)
+    return snapshot_bytes(sketch, extra=extra)
+
+
+def test_zlib_snapshot_of_earlier_builds_still_loads(tmp_path) -> None:
+    """A zlib-flagged file restores to an object that answers alike."""
+    sketch = CountSketch(1024, 64, 5, seed=7)
+    rng = np.random.default_rng(7)
+    sketch.update_batch(rng.integers(0, 1024, size=4096),
+                        rng.integers(-9, 10, size=4096).astype(float))
+    blob = _zlib_snapshot(sketch, {"sequence": 12})
+    assert len(blob) < frames_nbytes(dumps_frames(sketch)) // 2  # deflated
+    path = tmp_path / "earlier.rsnp"
+    path.write_bytes(blob)
+    restored, meta = read_snapshot(path, expected_type=CountSketch)
+    assert meta["extra"] == {"sequence": 12}
+    np.testing.assert_array_equal(restored.estimate_all(),
+                                  sketch.estimate_all())
+    for index in (0, 5, 1023):
+        assert restored.estimate(index) == sketch.estimate(index)
 
 
 def test_metadata_inspection_without_unpickling() -> None:
