@@ -48,10 +48,12 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
-from repro.samplers.jw18_lp_sampler import PerfectL2Sampler
+from repro.samplers.jw18_lp_sampler import JW18LpSamplerEnsemble
 from repro.sketch.ams import AMSSketch
 from repro.sketch.fp_estimator import FpEstimator
-from repro.utils.ensemble import build_ensemble
+# Not called here since the L_2 replicas are built from seeds; perfbench's
+# tracer patches ``lp_base.build_ensemble`` by name, so the import stays.
+from repro.utils.ensemble import build_ensemble  # noqa: F401
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
 from repro.utils.validation import (
     require_in_open_interval,
@@ -136,15 +138,13 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
         if backend == "sketch":
             seeds = random_seed_array(rng, num_l2_samples + 2)
             # The N parallel L_2 samplers are the sampler's inner repetition
-            # loop; dispatch them to the native replica ensemble so one
-            # batch of stream updates lands in all of them at once.  They
-            # share one configuration, so this is a JW18LpSamplerEnsemble.
-            self._l2_ensemble = build_ensemble([
-                PerfectL2Sampler(
-                    n, int(seed_value), value_instances=value_instances,
-                )
-                for seed_value in seeds[:num_l2_samples]
-            ])
+            # loop: one native replica ensemble, so one batch of stream
+            # updates lands in all of them at once.  It is built from their
+            # seeds, drawing exactly what N PerfectL2Sampler constructors
+            # would, without building them.
+            self._l2_ensemble = JW18LpSamplerEnsemble.from_seeds(
+                n, 2.0, seeds[:num_l2_samples],
+                value_instances=value_instances)
             self._f2_sketch = AMSSketch(n, width=16, depth=5, seed=int(seeds[-2]))
             self._fp_sketch = FpEstimator(
                 n, self._p, groups=5, repetitions_per_group=20, seed=int(seeds[-1]),

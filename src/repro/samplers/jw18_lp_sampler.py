@@ -37,11 +37,50 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
 from repro.sketch.ams import AMSEnsemble, AMSSketch
-from repro.sketch.countsketch import AveragedCountSketch, CountSketch, CountSketchEnsemble
+from repro.sketch.countsketch import (
+    AveragedCountSketch,
+    CountSketch,
+    CountSketchEnsemble,
+    averaged_member_seeds,
+)
 from repro.utils.batching import check_member_index
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
+from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_moment_order, require_positive_int
+
+#: Shape ``(width, depth)`` of every sampler's AMS sketch of ``z``.
+_AMS_SHAPE = (12, 5)
+
+
+def _sketch_widths(n: int, buckets: int | None,
+                   value_buckets: int | None) -> tuple[int, int]:
+    """Main-sketch and value-bank buckets; ``None`` selects ``4 log^2 n``."""
+    log_n = max(2.0, math.log2(max(n, 4)))
+    if buckets is None:
+        buckets = int(math.ceil(4 * log_n**2))
+    if value_buckets is None:
+        value_buckets = int(math.ceil(4 * log_n**2))
+    return int(buckets), int(value_buckets)
+
+
+def draw_jw18_replica(seed: SeedLike, n: int, exact_recovery: bool):
+    """What one JW18 sampler draws at construction, in its order.
+
+    Returns ``(rng, exponentials, substrate_seeds)``: the generator, left
+    where ``sample()``'s gap-test jitter continues; the ``n`` standard
+    exponentials; and, in sketch mode, the seeds of the main CountSketch,
+    the value bank and the AMS sketch (``None`` in oracle mode).
+    :class:`JW18LpSampler` and :meth:`JW18LpSamplerEnsemble.from_seeds`
+    both call this, so the draw order exists once.
+    """
+    rng = ensure_rng(seed)
+    # Independent exponentials; dense because every coordinate may be
+    # touched and the evaluation harness compares against them directly.
+    exponentials = rng.exponential(size=n)
+    if exact_recovery:
+        return rng, exponentials, None
+    return rng, exponentials, tuple(int(rng.integers(0, 2**63 - 1))
+                                    for _ in range(3))
 
 
 class JW18LpSampler(BatchUpdateMixin):
@@ -84,19 +123,9 @@ class JW18LpSampler(BatchUpdateMixin):
         self._gap_test = gap_test
         self._gap_multiplier = float(gap_multiplier)
         self._exact_recovery = exact_recovery
-        rng = ensure_rng(seed)
-        self._rng = rng
-
-        log_n = max(2.0, math.log2(max(n, 4)))
-        if buckets is None:
-            buckets = int(math.ceil(4 * log_n**2))
-        if value_buckets is None:
-            value_buckets = int(math.ceil(4 * log_n**2))
-        self._buckets = int(buckets)
-
-        # Independent exponentials; dense because every coordinate may be
-        # touched and the evaluation harness compares against them directly.
-        self._exponentials = rng.exponential(size=n)
+        self._buckets, value_buckets = _sketch_widths(n, buckets, value_buckets)
+        self._rng, self._exponentials, seeds = draw_jw18_replica(
+            seed, n, exact_recovery)
         self._inverse_scale = self._exponentials ** (-1.0 / self._p)
 
         if exact_recovery:
@@ -105,15 +134,13 @@ class JW18LpSampler(BatchUpdateMixin):
             self._value_bank: AveragedCountSketch | None = None
             self._ams: AMSSketch | None = None
         else:
+            main_seed, value_seed, ams_seed = seeds
             self._scaled_vector = None
-            self._main_sketch = CountSketch(
-                n, self._buckets, rows, int(rng.integers(0, 2**63 - 1))
-            )
+            self._main_sketch = CountSketch(n, self._buckets, rows, main_seed)
             self._value_bank = AveragedCountSketch(
-                n, int(value_buckets), value_rows, value_instances,
-                int(rng.integers(0, 2**63 - 1)),
-            )
-            self._ams = AMSSketch(n, width=12, depth=5, seed=int(rng.integers(0, 2**63 - 1)))
+                n, value_buckets, value_rows, value_instances, value_seed)
+            width, depth = _AMS_SHAPE
+            self._ams = AMSSketch(n, width=width, depth=depth, seed=ams_seed)
         self._num_updates = 0
 
     @property
@@ -302,23 +329,27 @@ def _top_and_gap(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class JW18LpSamplerEnsemble(ReplicaEnsemble):
     """``R`` independent JW18 samplers driven by one shared ingest pass.
 
-    The per-replica exponential scalings are stacked into an ``(R, n)``
-    matrix; every stream batch is scaled for all replicas at once and lands
-    in the replicas' substrates through three native ensembles (the main
-    CountSketch, the flattened ``R * value_instances`` value-bank members,
-    and the AMS sketches) — or, in oracle mode, one stacked
-    ``(R, n)`` scaled-vector scatter.  Queries derive each replica's top
-    coordinate, gap, ``L_2`` scale and value estimates for all replicas at
-    once per ingest state; each draw then consumes its replica's own
-    generator exactly as the standalone ``sample()`` does, so both state
-    and samples are bit-identical to driving each instance separately.
+    The per-replica exponentials and their scalings are stacked into
+    ``(R, n)`` matrices; every stream batch is scaled for all replicas at
+    once and lands in the replicas' substrates through three native
+    ensembles (the main CountSketch, the flattened ``R * value_instances``
+    value-bank members, and the AMS sketches) — or, in oracle mode, one
+    stacked ``(R, n)`` scaled-vector scatter.  Queries derive each
+    replica's top coordinate, gap, ``L_2`` scale and value estimates for
+    all replicas at once per ingest state; each draw then consumes its
+    replica's own query-time generator (kept in a list) exactly as the
+    standalone ``sample()`` does, so both state and samples are
+    bit-identical to driving each instance separately.
 
-    Replicas must be *fresh* (un-updated) when the ensemble is built: the
-    stacked state starts from the instances' (zero) tables.
+    That is all the ensemble keeps: no instance.  The gap test, its
+    multiplier and the main-sketch width are the same for every replica
+    and are ensemble fields.  Replicas handed to the constructor must be
+    *fresh* (un-updated), because the stacked state starts from zero;
+    :meth:`from_seeds` builds the ensemble without building them.
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._num_updates > 0, "JW18")
         first = instances[0]
         def _config(inst):
             value_instances = (None if inst._exact_recovery
@@ -330,67 +361,155 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
             raise InvalidParameterError(
                 "ensemble replicas must share (n, p, mode, gap and value-bank "
                 "configuration)")
-        self._n = first._n
-        self._p = first._p
-        self._exact = first._exact_recovery
-        self._inverse_scale = np.stack([inst._inverse_scale for inst in instances])
-        if self._exact:
-            self._scaled_vectors = np.zeros((len(instances), self._n), dtype=float)
-            self._main = None
-            self._value = None
-            self._ams = None
-            self._value_group = 0
+        if first._exact_recovery:
+            substrates = (None, None, None, 0)
         else:
-            self._scaled_vectors = None
-            self._main = CountSketchEnsemble(
-                [inst._main_sketch for inst in instances])
-            self._value = CountSketchEnsemble.concat(
-                [inst._value_bank._ensemble for inst in instances])
-            self._value_group = first._value_bank.num_instances
-            self._ams = AMSEnsemble([inst._ams for inst in instances])
-        self._num_updates = 0
+            substrates = (
+                CountSketchEnsemble([inst._main_sketch for inst in instances]),
+                CountSketchEnsemble.concat(
+                    [inst._value_bank._ensemble for inst in instances]),
+                AMSEnsemble([inst._ams for inst in instances]),
+                first._value_bank.num_instances)
+        self._setup(first._n, first._p, first._exact_recovery,
+                    first._gap_test, first._gap_multiplier, first._buckets,
+                    [inst._rng for inst in instances],
+                    np.stack([inst._exponentials for inst in instances]),
+                    np.stack([inst._inverse_scale for inst in instances]),
+                    *substrates)
+
+    @classmethod
+    def from_seeds(cls, n: int, p: float, seeds, *,
+                   buckets: int | None = None, rows: int = 5,
+                   value_instances: int = 8, value_buckets: int | None = None,
+                   value_rows: int = 5, gap_test: bool = True,
+                   gap_multiplier: float = 2.0,
+                   exact_recovery: bool = False) -> "JW18LpSamplerEnsemble":
+        """The ensemble of ``JW18LpSampler(n, p, s, **config)`` for ``s``
+        in ``seeds``, without building those samplers.
+
+        Each replica draws through :func:`draw_jw18_replica`, and its
+        substrates through the CountSketch and AMS ``from_seeds``, which
+        are the draws the standalone constructors make; so every state,
+        draw and generator equals what
+        :func:`~repro.utils.ensemble.build_ensemble` of the standalone
+        samplers gives.
+        """
+        require_positive_int(n, "n")
+        require_moment_order(p, "p", minimum=0.0, maximum=2.0)
+        if len(seeds) == 0:
+            raise InvalidParameterError("an ensemble needs at least one replica")
+        p = float(p)
+        buckets, value_buckets = _sketch_widths(n, buckets, value_buckets)
+        replicas = len(seeds)
+        rngs = []
+        substrate_seeds = []
+        exponentials = np.empty((replicas, n))
+        inverse_scale = np.empty((replicas, n))
+        for replica, seed in enumerate(seeds):
+            rng, drawn, seeds_of_replica = draw_jw18_replica(
+                int(seed), n, exact_recovery)
+            rngs.append(rng)
+            substrate_seeds.append(seeds_of_replica)
+            exponentials[replica] = drawn
+            # Row by row, as the standalone constructor computes it.
+            inverse_scale[replica] = drawn ** (-1.0 / p)
+        if exact_recovery:
+            substrates = (None, None, None, 0)
+        else:
+            require_positive_int(value_instances, "value_instances")
+            main_seeds, value_seeds, ams_seeds = zip(*substrate_seeds)
+            width, depth = _AMS_SHAPE
+            substrates = (
+                CountSketchEnsemble.from_seeds(n, buckets, rows, main_seeds),
+                CountSketchEnsemble.from_seeds(
+                    n, value_buckets, value_rows,
+                    np.concatenate([averaged_member_seeds(seed, value_instances)
+                                    for seed in value_seeds])),
+                AMSEnsemble.from_seeds(n, width, depth, ams_seeds),
+                value_instances)
+        ensemble = cls.__new__(cls)
+        ensemble._setup(n, p, exact_recovery, gap_test, float(gap_multiplier),
+                        buckets, rngs, exponentials, inverse_scale,
+                        *substrates)
+        return ensemble
+
+    def _setup(self, n, p, exact, gap_test, gap_multiplier, buckets, rngs,
+               exponentials, inverse_scale, main, value, ams, value_group,
+               scaled_vectors=None, num_updates: int = 0) -> None:
+        """Set every field; missing oracle-mode vectors start at zero."""
+        self._n = n
+        self._p = p
+        self._exact = exact
+        self._gap_test = gap_test
+        self._gap_multiplier = gap_multiplier
+        self._buckets = buckets
+        self._rngs = rngs
+        self._exponentials = exponentials
+        self._inverse_scale = inverse_scale
+        self._main = main
+        self._value = value
+        self._ams = ams
+        self._value_group = value_group
+        if exact and scaled_vectors is None:
+            scaled_vectors = np.zeros((len(rngs), n), dtype=float)
+        self._scaled_vectors = scaled_vectors
+        self._num_updates = num_updates
         self._drop_query_caches()
+
+    def _shared(self) -> tuple:
+        """The configuration every replica shares."""
+        return (self._n, self._p, self._exact, self._gap_test,
+                self._gap_multiplier, self._buckets, self._value_group)
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas ``R``."""
+        return len(self._rngs)
+
+    def space_counters(self) -> int:
+        """Stored counters across all replicas (sketch cells, or the exact
+        scaled vectors in oracle mode), as the standalone samplers count."""
+        if self._exact:
+            return int(self._scaled_vectors.size)
+        return (self._main.space_counters() + self._value.space_counters()
+                + self._ams.space_counters())
 
     @classmethod
     def concat(cls, ensembles: "list[JW18LpSamplerEnsemble]") -> "JW18LpSamplerEnsemble":
         """Stack replica-shard ensembles along the replica axis (no recompute).
 
-        The per-replica exponential scalings and all substrate state (main
-        sketches, flattened value banks, AMS counters — or the oracle
-        scaled vectors) are concatenated as-is.  Every shard must have
-        ingested the same stream (replica sharding shares the stream), so
-        the shared update count is taken from the first shard.
+        The per-replica generators, exponentials, scalings and all
+        substrate state (main sketches, flattened value banks, AMS counters
+        — or the oracle scaled vectors) are concatenated as-is.  Every
+        shard must have ingested the same stream (replica sharding shares
+        the stream), so the shared update count is taken from the first
+        shard.
         """
         if not ensembles:
             raise InvalidParameterError("need at least one ensemble")
         first = ensembles[0]
-        if any((e._n, e._p, e._exact, e._value_group)
-               != (first._n, first._p, first._exact, first._value_group)
-               for e in ensembles):
+        if any(e._shared() != first._shared() for e in ensembles):
             raise InvalidParameterError(
-                "ensembles must share (n, p, mode, value-bank configuration)")
-        merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
-        merged._n = first._n
-        merged._p = first._p
-        merged._exact = first._exact
-        merged._value_group = first._value_group
-        merged._inverse_scale = np.concatenate(
-            [e._inverse_scale for e in ensembles])
+                "ensembles must share (n, p, mode, gap and value-bank "
+                "configuration)")
         if first._exact:
-            merged._scaled_vectors = np.concatenate(
+            substrates = (None, None, None, 0)
+            scaled_vectors = np.concatenate(
                 [e._scaled_vectors for e in ensembles])
-            merged._main = None
-            merged._value = None
-            merged._ams = None
         else:
-            merged._scaled_vectors = None
-            merged._main = CountSketchEnsemble.concat([e._main for e in ensembles])
-            merged._value = CountSketchEnsemble.concat([e._value for e in ensembles])
-            merged._ams = AMSEnsemble.concat([e._ams for e in ensembles])
-        merged._num_updates = first._num_updates
-        merged._drop_query_caches()
+            substrates = (
+                CountSketchEnsemble.concat([e._main for e in ensembles]),
+                CountSketchEnsemble.concat([e._value for e in ensembles]),
+                AMSEnsemble.concat([e._ams for e in ensembles]),
+                first._value_group)
+            scaled_vectors = None
+        merged = cls.__new__(cls)
+        merged._setup(first._n, first._p, first._exact, first._gap_test,
+                      first._gap_multiplier, first._buckets,
+                      [rng for e in ensembles for rng in e._rngs],
+                      np.concatenate([e._exponentials for e in ensembles]),
+                      np.concatenate([e._inverse_scale for e in ensembles]),
+                      *substrates, scaled_vectors, first._num_updates)
         return merged
 
     def merge(self, other: "JW18LpSamplerEnsemble") -> "JW18LpSamplerEnsemble":
@@ -405,8 +524,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         if not isinstance(other, JW18LpSamplerEnsemble):
             raise InvalidParameterError(
                 "can only merge JW18LpSamplerEnsemble with its own kind")
-        if ((other._n, other._p, other._exact, other._value_group)
-                != (self._n, self._p, self._exact, self._value_group)
+        if (other._shared() != self._shared()
                 or other.num_replicas != self.num_replicas
                 or not np.array_equal(self._inverse_scale, other._inverse_scale)):
             raise InvalidParameterError(
@@ -507,12 +625,11 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         check_member_index(replica, self.num_replicas, "replica")
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        instance = self._instances[replica]
         if self._exact:
             scaled = float(self._scaled_vectors[replica, index])
         else:
             scaled = float(np.mean(self._value_member_estimates(replica, index)))
-        return scaled * instance._exponentials[index] ** (1.0 / self._p)
+        return scaled * self._exponentials[replica, index] ** (1.0 / self._p)
 
     def independent_value_estimates(self, replica: int, index: int, count: int,
                                     group_size: int | None = None) -> np.ndarray:
@@ -521,8 +638,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
         require_positive_int(count, "count")
-        instance = self._instances[replica]
-        unscale = instance._exponentials[index] ** (1.0 / self._p)
+        unscale = self._exponentials[replica, index] ** (1.0 / self._p)
         if self._exact:
             return np.full(count, float(self._scaled_vectors[replica, index]) * unscale)
         estimates = self._value_member_estimates(replica, index)
@@ -551,15 +667,14 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         best = int(candidates.top[replica])
         if best < 0:
             return None
-        instance = self._instances[replica]
         gap = float(candidates.gap[replica])
 
         threshold = 0.0
-        if instance._gap_test and not self._exact:
+        if self._gap_test and not self._exact:
             scale = float(candidates.scale[replica])
-            jitter = instance._rng.uniform(0.5, 1.5)
-            threshold = (instance._gap_multiplier * jitter * scale
-                         / math.sqrt(instance._buckets))
+            jitter = self._rngs[replica].uniform(0.5, 1.5)
+            threshold = (self._gap_multiplier * jitter * scale
+                         / math.sqrt(self._buckets))
             if gap <= threshold:
                 return None
 
@@ -571,7 +686,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
                 "gap": gap,
                 "gap_threshold": threshold,
                 "scaled_maximum": abs(float(self._scaled_estimates()[replica, best])),
-                "exponential": float(instance._exponentials[best]),
+                "exponential": float(self._exponentials[replica, best]),
             },
         )
 

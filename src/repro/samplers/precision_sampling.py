@@ -26,7 +26,7 @@ from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, co
 from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
 from repro.utils.batching import check_member_index
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
+from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_in_open_interval, require_moment_order, require_positive_int
 
@@ -136,36 +136,59 @@ class PrecisionLpSampler(BatchUpdateMixin):
 class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
     """``R`` independent precision samplers driven by one shared ingest pass.
 
-    The per-replica precision scalings are stacked into an ``(R, n)``
-    matrix; each batch is scaled for every replica at once and lands in all
-    of the recovery CountSketches through one fused scatter (raw deltas go
-    to the stacked AMS sketches).  Query math runs per replica on
-    identically laid-out slices, so state and samples are bit-identical to
-    driving each instance separately.  Replicas must be fresh (un-updated)
-    when the ensemble is built.
+    The per-replica precisions and their scalings are stacked into
+    ``(R, n)`` matrices; each batch is scaled for every replica at once and
+    lands in all of the recovery CountSketches through one fused scatter
+    (raw deltas go to the stacked AMS sketches).  Query math runs per
+    replica on identically laid-out slices, so state and samples are
+    bit-identical to driving each instance separately.  The ensemble keeps
+    no instance: ``epsilon`` is the same for every replica and is an
+    ensemble field.  Replicas must be fresh (un-updated) when the ensemble
+    is built.
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._num_updates > 0, "precision")
         first = instances[0]
         if any((inst._n, inst._p, inst._epsilon, inst._buckets)
                != (first._n, first._p, first._epsilon, first._buckets)
                for inst in instances):
             raise InvalidParameterError(
                 "ensemble replicas must share (n, p, epsilon, buckets)")
-        self._n = first._n
-        self._p = first._p
-        self._inverse_scale = np.stack([inst._inverse_scale for inst in instances])
-        self._sketch = CountSketchEnsemble([inst._sketch for inst in instances])
-        self._ams = AMSEnsemble([inst._ams for inst in instances])
-        self._num_updates = 0
+        self._setup(first._n, first._p, first._epsilon,
+                    np.stack([inst._precisions for inst in instances]),
+                    np.stack([inst._inverse_scale for inst in instances]),
+                    CountSketchEnsemble([inst._sketch for inst in instances]),
+                    AMSEnsemble([inst._ams for inst in instances]))
+
+    def _setup(self, n, p, epsilon, precisions, inverse_scale, sketch, ams,
+               num_updates: int = 0) -> None:
+        """Set every field."""
+        self._n = n
+        self._p = p
+        self._epsilon = epsilon
+        self._precisions = precisions
+        self._inverse_scale = inverse_scale
+        self._sketch = sketch
+        self._ams = ams
+        self._num_updates = num_updates
         self._estimates_cache: np.ndarray | None = None
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas ``R``."""
+        return self._precisions.shape[0]
+
+    def space_counters(self) -> int:
+        """Stored counters across all replicas (CountSketch cells + AMS
+        counters), as the standalone samplers count."""
+        return self._sketch.space_counters() + self._ams.space_counters()
 
     @classmethod
     def concat(cls, ensembles: "list[PrecisionLpSamplerEnsemble]") -> "PrecisionLpSamplerEnsemble":
         """Stack replica-shard ensembles along the replica axis (no recompute).
 
-        Precision scalings and substrate state are concatenated as-is;
+        Precisions, scalings and substrate state are concatenated as-is;
         every shard must have ingested the same stream (replica sharding
         shares the stream), so the shared update count comes from the first
         shard.
@@ -173,19 +196,16 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         if not ensembles:
             raise InvalidParameterError("need at least one ensemble")
         first = ensembles[0]
-        if any((e._n, e._p) != (first._n, first._p) for e in ensembles):
-            raise InvalidParameterError("ensembles must share (n, p)")
+        if any((e._n, e._p, e._epsilon) != (first._n, first._p, first._epsilon)
+               for e in ensembles):
+            raise InvalidParameterError("ensembles must share (n, p, epsilon)")
         merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
-        merged._n = first._n
-        merged._p = first._p
-        merged._inverse_scale = np.concatenate(
-            [e._inverse_scale for e in ensembles])
-        merged._sketch = CountSketchEnsemble.concat([e._sketch for e in ensembles])
-        merged._ams = AMSEnsemble.concat([e._ams for e in ensembles])
-        merged._num_updates = first._num_updates
-        merged._estimates_cache = None
+        merged._setup(first._n, first._p, first._epsilon,
+                      np.concatenate([e._precisions for e in ensembles]),
+                      np.concatenate([e._inverse_scale for e in ensembles]),
+                      CountSketchEnsemble.concat([e._sketch for e in ensembles]),
+                      AMSEnsemble.concat([e._ams for e in ensembles]),
+                      first._num_updates)
         return merged
 
     def merge(self, other: "PrecisionLpSamplerEnsemble") -> "PrecisionLpSamplerEnsemble":
@@ -198,7 +218,8 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         if not isinstance(other, PrecisionLpSamplerEnsemble):
             raise InvalidParameterError(
                 "can only merge PrecisionLpSamplerEnsemble with its own kind")
-        if ((other._n, other._p) != (self._n, self._p)
+        if ((other._n, other._p, other._epsilon)
+                != (self._n, self._p, self._epsilon)
                 or other.num_replicas != self.num_replicas
                 or not np.array_equal(self._inverse_scale, other._inverse_scale)):
             raise InvalidParameterError(
@@ -243,7 +264,6 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         check_member_index(replica, self.num_replicas, "replica")
         if self._num_updates == 0:
             return None
-        instance = self._instances[replica]
         if self._estimates_cache is None:
             self._estimates_cache = self._sketch.estimate_all_members()
         estimates = self._estimates_cache[replica]
@@ -254,10 +274,11 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
 
         l2_estimate = self._ams.estimate_l2_member(replica)
         norm_proxy = l2_estimate / max(self._n, 2) ** max(0.0, 1.0 / 2.0 - 1.0 / self._p)
-        threshold = norm_proxy * instance._epsilon ** (-1.0 / self._p)
+        threshold = norm_proxy * self._epsilon ** (-1.0 / self._p)
         if magnitudes[best] < threshold:
             return None
-        recovered_value = estimates[best] * instance._precisions[best] ** (1.0 / self._p)
+        recovered_value = (estimates[best]
+                           * self._precisions[replica, best] ** (1.0 / self._p))
         return Sample(
             index=best,
             value_estimate=float(recovered_value),

@@ -23,7 +23,7 @@ from repro.utils.batching import (
     coerce_indices,
     median_of_rows,
 )
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
+from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.table_cache import resolve_table_block, resolve_table_mode
 from repro.utils.validation import (
@@ -33,13 +33,23 @@ from repro.utils.validation import (
 )
 
 
+def draw_ams_signs(seed: SeedLike, width: int, depth: int) -> SignHashFamily:
+    """The sign family one AMS sketch draws from ``seed``.
+
+    :class:`AMSSketch` and :meth:`AMSEnsemble.from_seeds` both call this,
+    so the draw exists once.
+    """
+    return SignHashFamily.from_rng(ensure_rng(seed), width * depth, 4)
+
+
 class AMSSketch(BatchUpdateMixin):
     """Tug-of-war sketch estimating ``F_2 = ||x||_2^2`` of a turnstile stream.
 
     Sign-hash coefficients are drawn at construction (one vectorised call);
     the dense ``(width * depth, n)`` int8 sign matrix is materialised lazily
-    on first use, so short-lived instances and ensemble seed carriers pay
-    almost nothing up front.
+    on first use, so short-lived instances pay almost nothing up front.
+    Many sketches of one shape are cheaper as an :class:`AMSEnsemble`,
+    which stacks their coefficients and counters.
 
     Parameters
     ----------
@@ -63,8 +73,7 @@ class AMSSketch(BatchUpdateMixin):
         self._depth = depth
         self._table_mode = resolve_table_mode(table_mode)
         self._table_block = resolve_table_block(table_block)
-        rng = ensure_rng(seed)
-        self._sign_family = SignHashFamily.from_rng(rng, width * depth, 4)
+        self._sign_family = draw_ams_signs(seed, width, depth)
         # Shape (depth * width, n): one row of signs per counter (lazy).
         self._signs: np.ndarray | None = None
         self._counters = np.zeros(width * depth, dtype=float)
@@ -215,30 +224,71 @@ class AMSEnsemble(ReplicaEnsemble):
     the *same* gather + matrix-vector product the standalone sketch runs
     (contiguous ``(C, B)`` layout), so member state is bit-identical to
     driving each sketch separately.
+
+    The ensemble keeps no :class:`AMSSketch`: built from instances, it
+    takes their sign coefficients and refuses any that has ingested;
+    :meth:`from_seeds` builds it without building any.
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._num_updates > 0, "AMS")
         first = instances[0]
         if any(inst.shape != first.shape or inst._n != first._n
                for inst in instances):
             raise InvalidParameterError("ensemble members must share (n, width, depth)")
         if any(inst._table_mode != first._table_mode for inst in instances):
             raise InvalidParameterError("ensemble members must share table_mode")
-        self._n = first._n
-        self._depth, self._width = first.shape
-        self._table_mode = first._table_mode
-        self._table_block = first._table_block
-        members = len(instances)
-        counters = self._width * self._depth
-        self._sign_family = SignHashFamily.concatenate(
-            [inst._sign_family for inst in instances])
+        self._setup(first._n, first._width, first._depth, first._table_mode,
+                    first._table_block,
+                    SignHashFamily.concatenate(
+                        [inst._sign_family for inst in instances]))
+
+    @classmethod
+    def from_seeds(cls, n: int, width: int, depth: int, seeds,
+                   table_mode: str | None = None,
+                   table_block: int | None = None) -> "AMSEnsemble":
+        """The ensemble of ``AMSSketch(n, width, depth, s, ...)`` for ``s``
+        in ``seeds``, without building those sketches.
+
+        Each member's family comes from :func:`draw_ams_signs`, the draw
+        the standalone constructor makes, so the result is bitwise the
+        ensemble :func:`~repro.utils.ensemble.build_ensemble` returns for
+        the standalone instances.
+        """
+        require_positive_int(n, "n")
+        require_positive_int(width, "width")
+        require_positive_int(depth, "depth")
+        if len(seeds) == 0:
+            raise InvalidParameterError("an ensemble needs at least one replica")
+        ensemble = cls.__new__(cls)
+        ensemble._setup(n, width, depth, resolve_table_mode(table_mode),
+                        resolve_table_block(table_block),
+                        SignHashFamily.concatenate(
+                            [draw_ams_signs(int(seed), width, depth)
+                             for seed in seeds]))
+        return ensemble
+
+    def _setup(self, n: int, width: int, depth: int, table_mode: str,
+               table_block: int, sign_family: SignHashFamily,
+               counters: np.ndarray | None = None,
+               num_updates: np.ndarray | None = None) -> None:
+        """Set every field; missing counters start at zero."""
+        self._n = n
+        self._width = width
+        self._depth = depth
+        self._table_mode = table_mode
+        self._table_block = table_block
+        self._sign_family = sign_family
         # The stacked (M, counters, n) sign matrix is built lazily in one
         # concatenated family evaluation (shared through the keyed cache in
         # ``cached`` mode, never materialised in ``blocked`` mode).
         self._signs = None
-        self._counters = np.zeros((members, counters), dtype=float)
-        self._num_updates = np.zeros(members, dtype=np.int64)
+        members = sign_family.size // (width * depth)
+        if counters is None:
+            counters = np.zeros((members, width * depth), dtype=float)
+            num_updates = np.zeros(members, dtype=np.int64)
+        self._counters = counters
+        self._num_updates = num_updates
 
     def _ensure_signs(self) -> None:
         """Materialise the stacked int8 sign matrix on first use (lazy)."""
@@ -310,25 +360,17 @@ class AMSEnsemble(ReplicaEnsemble):
         if any(e._table_mode != first._table_mode for e in ensembles):
             raise InvalidParameterError("ensembles must share table_mode")
         merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
-        merged._n = first._n
-        merged._depth = first._depth
-        merged._width = first._width
-        merged._table_mode = first._table_mode
-        merged._table_block = first._table_block
-        merged._sign_family = SignHashFamily.concatenate(
-            [e._sign_family for e in ensembles])
-        if all(e._signs is None for e in ensembles):
-            merged._signs = None
-        else:
+        merged._setup(first._n, first._width, first._depth, first._table_mode,
+                      first._table_block,
+                      SignHashFamily.concatenate(
+                          [e._sign_family for e in ensembles]),
+                      np.concatenate([e._counters for e in ensembles]),
+                      np.concatenate([e._num_updates for e in ensembles]))
+        if any(e._signs is not None for e in ensembles):
             for ensemble in ensembles:
                 ensemble._ensure_signs()
             merged._signs = np.concatenate(
                 [e._signs for e in ensembles])
-        merged._counters = np.concatenate(
-            [e._counters for e in ensembles])
-        merged._num_updates = np.concatenate([e._num_updates for e in ensembles])
         return merged
 
     def merge(self, other: "AMSEnsemble") -> "AMSEnsemble":
@@ -360,6 +402,11 @@ class AMSEnsemble(ReplicaEnsemble):
     def num_members(self) -> int:
         """Number of member sketches ``M``."""
         return self._counters.shape[0]
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas: one per member sketch."""
+        return self.num_members
 
     def space_counters(self) -> int:
         """Total stored counters across all members."""

@@ -26,7 +26,12 @@ from repro.utils.batching import (
     check_member_index,
     coerce_batch,
 )
-from repro.utils.ensemble import ReplicaEnsemble, member_chunks, register_ensemble
+from repro.utils.ensemble import (
+    ReplicaEnsemble,
+    member_chunks,
+    register_ensemble,
+    require_fresh,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.table_cache import resolve_table_block, resolve_table_mode
 from repro.utils.validation import (
@@ -224,7 +229,7 @@ class CountMinEnsemble(ReplicaEnsemble):
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._table.any(), "CountMin")
         first = instances[0]
         if any(inst.shape != first.shape or inst._n != first._n
                for inst in instances):
@@ -235,16 +240,23 @@ class CountMinEnsemble(ReplicaEnsemble):
         if any(inst._conservative != first._conservative for inst in instances):
             raise InvalidParameterError(
                 "ensemble members must share the conservative flag")
-        self._n = first._n
-        self._rows, self._buckets = first.shape
-        self._conservative = first._conservative
-        self._table_mode = first._table_mode
-        self._table_block = first._table_block
-        self._bucket_family = KWiseHashFamily.concatenate(
-            [inst._bucket_family for inst in instances])
+        self._setup(first, KWiseHashFamily.concatenate(
+            [inst._bucket_family for inst in instances]),
+            np.zeros((len(instances), first._rows, first._buckets),
+                     dtype=float))
+
+    def _setup(self, like, bucket_family: KWiseHashFamily,
+               table: np.ndarray) -> None:
+        """Set every field, taking shape, mode and flag from ``like``."""
+        self._n = like._n
+        self._rows = like._rows
+        self._buckets = like._buckets
+        self._conservative = like._conservative
+        self._table_mode = like._table_mode
+        self._table_block = like._table_block
+        self._bucket_family = bucket_family
         self._bucket_of = None
-        self._table = np.zeros(
-            (len(instances), self._rows, self._buckets), dtype=float)
+        self._table = table
 
     def _ensure_tables(self) -> None:
         """Build the stacked bucket table on first use."""
@@ -297,6 +309,11 @@ class CountMinEnsemble(ReplicaEnsemble):
         return self._table.shape[0]
 
     @property
+    def num_replicas(self) -> int:
+        """Number of replicas: one per member sketch."""
+        return self.num_members
+
+    @property
     def shape(self) -> tuple[int, int]:
         """``(rows, buckets)`` of every member table."""
         return (self._rows, self._buckets)
@@ -317,31 +334,20 @@ class CountMinEnsemble(ReplicaEnsemble):
                or e._conservative != first._conservative for e in ensembles):
             raise InvalidParameterError(
                 "ensembles must share table_mode and the conservative flag")
-        merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
-        merged._n = first._n
-        merged._rows = first._rows
-        merged._buckets = first._buckets
-        merged._conservative = first._conservative
-        merged._table_mode = first._table_mode
-        merged._table_block = first._table_block
-        merged._bucket_family = KWiseHashFamily.concatenate(
-            [e._bucket_family for e in ensembles])
-        if all(e._bucket_of is None for e in ensembles):
-            merged._bucket_of = None
+        members = sum(e._table.shape[0] for e in ensembles)
+        if all(not e._table.any() for e in ensembles):
+            table = np.zeros((members, first._rows, first._buckets),
+                             dtype=float)
         else:
+            table = np.concatenate([e._table for e in ensembles])
+        merged = cls.__new__(cls)
+        merged._setup(first, KWiseHashFamily.concatenate(
+            [e._bucket_family for e in ensembles]), table)
+        if any(e._bucket_of is not None for e in ensembles):
             for ensemble in ensembles:
                 ensemble._ensure_tables()
             merged._bucket_of = np.concatenate(
                 [e._bucket_of for e in ensembles])
-        members = sum(e._table.shape[0] for e in ensembles)
-        if all(not e._table.any() for e in ensembles):
-            merged._table = np.zeros(
-                (members, first._rows, first._buckets), dtype=float)
-        else:
-            merged._table = np.concatenate(
-                [e._table for e in ensembles])
         return merged
 
     def merge(self, other: "CountMinEnsemble") -> "CountMinEnsemble":

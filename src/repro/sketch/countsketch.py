@@ -46,7 +46,12 @@ from repro.utils.batching import (
     fused_bincount_add,
     median_of_rows,
 )
-from repro.utils.ensemble import ReplicaEnsemble, member_chunks, register_ensemble
+from repro.utils.ensemble import (
+    ReplicaEnsemble,
+    member_chunks,
+    register_ensemble,
+    require_fresh,
+)
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
 from repro.utils.table_cache import resolve_table_block, resolve_table_mode
 from repro.utils.validation import (
@@ -56,16 +61,34 @@ from repro.utils.validation import (
 )
 
 
+def draw_countsketch_hashes(seed: SeedLike, rows: int, buckets: int):
+    """The ``(bucket, sign)`` families one CountSketch draws from ``seed``.
+
+    :class:`CountSketch` and :meth:`CountSketchEnsemble.from_seeds` both
+    call this, so the draw order exists once: the bucket family's
+    coefficients first, then the sign family's.
+    """
+    rng = ensure_rng(seed)
+    return (KWiseHashFamily.from_rng(rng, rows, 2, buckets),
+            SignHashFamily.from_rng(rng, rows, 4))
+
+
+def averaged_member_seeds(seed: SeedLike, num_instances: int) -> np.ndarray:
+    """The member seeds an :class:`AveragedCountSketch` derives from ``seed``."""
+    return random_seed_array(ensure_rng(seed), num_instances)
+
+
 class CountSketch(BatchUpdateMixin):
     """Classic CountSketch over the universe ``[0, n)``.
 
     Construction draws the hash-family coefficients (two vectorised
     ``rng.integers`` calls) but defers the O(n * rows) per-coordinate hash
     tables until the sketch is first touched, so short-lived instances —
-    e.g. the probe instances of oracle-backend benchmarks and the replicas
-    handed to :class:`CountSketchEnsemble` (which builds the tables of all
-    members in one concatenated family evaluation) — pay almost nothing up
-    front.
+    e.g. the probe instances of oracle-backend benchmarks — pay almost
+    nothing up front.  Many sketches of one shape are cheaper still as a
+    :class:`CountSketchEnsemble`, which holds their hash coefficients and
+    tables stacked and builds every member's hash tables in one
+    concatenated family evaluation.
 
     Parameters
     ----------
@@ -102,9 +125,8 @@ class CountSketch(BatchUpdateMixin):
         self._rows = rows
         self._table_mode = resolve_table_mode(table_mode)
         self._table_block = resolve_table_block(table_block)
-        rng = ensure_rng(seed)
-        self._bucket_family = KWiseHashFamily.from_rng(rng, rows, 2, buckets)
-        self._sign_family = SignHashFamily.from_rng(rng, rows, 4)
+        self._bucket_family, self._sign_family = draw_countsketch_hashes(
+            seed, rows, buckets)
         self._bucket_of: np.ndarray | None = None
         self._sign_of: np.ndarray | None = None
         self._table = np.zeros((rows, buckets), dtype=float)
@@ -319,33 +341,75 @@ class CountSketchEnsemble(ReplicaEnsemble):
     member), ``(M, B)`` (per member), or ``(G, B)`` with ``M = G * F``
     (per *replica* of a composite ensemble whose replicas own ``F``
     members each, e.g. the value-estimation banks of the JW18 sampler).
+
+    The ensemble keeps no :class:`CountSketch`: built from instances, it
+    takes their hash coefficients and refuses any whose table is not
+    zero; :meth:`from_seeds` builds it without building any.
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._table.any(), "CountSketch")
         first = instances[0]
         if any(inst.shape != first.shape or inst._n != first._n
                for inst in instances):
             raise InvalidParameterError("ensemble members must share (n, buckets, rows)")
-        self._n = first._n
-        self._rows, self._buckets = first.shape
         if any(inst._table_mode != first._table_mode for inst in instances):
             raise InvalidParameterError("ensemble members must share table_mode")
-        self._table_mode = first._table_mode
-        self._table_block = first._table_block
-        members = len(instances)
-        self._bucket_family = KWiseHashFamily.concatenate(
-            [inst._bucket_family for inst in instances])
-        self._sign_family = SignHashFamily.concatenate(
-            [inst._sign_family for inst in instances])
+        self._setup(first._n, first._rows, first._buckets, first._table_mode,
+                    first._table_block,
+                    KWiseHashFamily.concatenate(
+                        [inst._bucket_family for inst in instances]),
+                    SignHashFamily.concatenate(
+                        [inst._sign_family for inst in instances]))
+
+    @classmethod
+    def from_seeds(cls, n: int, buckets: int, rows: int, seeds,
+                   table_mode: str | None = None,
+                   table_block: int | None = None) -> "CountSketchEnsemble":
+        """The ensemble of ``CountSketch(n, buckets, rows, s, ...)`` for
+        ``s`` in ``seeds``, without building those sketches.
+
+        Each member's families come from :func:`draw_countsketch_hashes`,
+        the draw the standalone constructor makes, so the result is
+        bitwise the ensemble :func:`~repro.utils.ensemble.build_ensemble`
+        returns for the standalone instances.
+        """
+        require_positive_int(n, "n")
+        require_positive_int(buckets, "buckets")
+        require_positive_int(rows, "rows")
+        if len(seeds) == 0:
+            raise InvalidParameterError("an ensemble needs at least one replica")
+        drawn = [draw_countsketch_hashes(int(seed), rows, buckets)
+                 for seed in seeds]
+        ensemble = cls.__new__(cls)
+        ensemble._setup(n, rows, buckets, resolve_table_mode(table_mode),
+                        resolve_table_block(table_block),
+                        KWiseHashFamily.concatenate([b for b, _ in drawn]),
+                        SignHashFamily.concatenate([s for _, s in drawn]))
+        return ensemble
+
+    def _setup(self, n: int, rows: int, buckets: int, table_mode: str,
+               table_block: int, bucket_family: KWiseHashFamily,
+               sign_family: SignHashFamily,
+               table: np.ndarray | None = None) -> None:
+        """Set every field; a missing ``table`` starts at zero."""
+        self._n = n
+        self._rows = rows
+        self._buckets = buckets
+        self._table_mode = table_mode
+        self._table_block = table_block
+        self._bucket_family = bucket_family
+        self._sign_family = sign_family
         # Hash tables are built lazily in one concatenated family
         # evaluation: composite ensembles that concat() several member
         # ensembles therefore evaluate the hashes of *all* replicas in a
         # single pass on first touch.
         self._bucket_of = None
         self._sign_of = None
-        self._table = np.zeros(
-            (members, self._rows, self._buckets), dtype=float)
+        if table is None:
+            table = np.zeros((bucket_family.size // rows, rows, buckets),
+                             dtype=float)
+        self._table = table
 
     def _ensure_tables(self) -> None:
         """Build the stacked per-coordinate hash tables on first use."""
@@ -426,37 +490,27 @@ class CountSketchEnsemble(ReplicaEnsemble):
             raise InvalidParameterError("ensembles must share (n, buckets, rows)")
         if any(e._table_mode != first._table_mode for e in ensembles):
             raise InvalidParameterError("ensembles must share table_mode")
-        merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
-        merged._n = first._n
-        merged._rows = first._rows
-        merged._buckets = first._buckets
-        merged._table_mode = first._table_mode
-        merged._table_block = first._table_block
-        merged._bucket_family = KWiseHashFamily.concatenate(
-            [e._bucket_family for e in ensembles])
-        merged._sign_family = SignHashFamily.concatenate(
-            [e._sign_family for e in ensembles])
-        if all(e._bucket_of is None for e in ensembles):
-            merged._bucket_of = None
-            merged._sign_of = None
+        if all(not e._table.any() for e in ensembles):
+            # Fresh ensembles: allocate the merged zero table directly
+            # instead of concatenating hundreds of small zero arrays.
+            table = None
         else:
+            table = np.concatenate([e._table for e in ensembles])
+        merged = cls.__new__(cls)
+        merged._setup(first._n, first._rows, first._buckets,
+                      first._table_mode, first._table_block,
+                      KWiseHashFamily.concatenate(
+                          [e._bucket_family for e in ensembles]),
+                      SignHashFamily.concatenate(
+                          [e._sign_family for e in ensembles]),
+                      table)
+        if any(e._bucket_of is not None for e in ensembles):
             for ensemble in ensembles:
                 ensemble._ensure_tables()
             merged._bucket_of = np.concatenate(
                 [e._bucket_of for e in ensembles])
             merged._sign_of = np.concatenate(
                 [e._sign_of for e in ensembles])
-        members = sum(e._table.shape[0] for e in ensembles)
-        if all(not e._table.any() for e in ensembles):
-            # Fresh ensembles: allocate the merged zero table directly
-            # instead of concatenating hundreds of small zero arrays.
-            merged._table = np.zeros(
-                (members, first._rows, first._buckets), dtype=float)
-        else:
-            merged._table = np.concatenate(
-                [e._table for e in ensembles])
         return merged
 
     def merge(self, other: "CountSketchEnsemble") -> "CountSketchEnsemble":
@@ -491,6 +545,11 @@ class CountSketchEnsemble(ReplicaEnsemble):
     def num_members(self) -> int:
         """Total number of member sketches ``M``."""
         return self._table.shape[0]
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas: one per member sketch."""
+        return self.num_members
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -705,16 +764,12 @@ class AveragedCountSketch(BatchUpdateMixin):
                  seed: SeedLike = None, table_mode: str | None = None,
                  table_block: int | None = None) -> None:
         require_positive_int(num_instances, "num_instances")
-        rng = ensure_rng(seed)
-        seeds = random_seed_array(rng, num_instances)
-        # The inner repetition loop dispatches to the native ensemble: the
-        # member sketches are cheap seed carriers and all their hash tables
-        # and counters live in one stacked CountSketchEnsemble.
-        self._ensemble = CountSketchEnsemble(
-            [CountSketch(n, buckets, rows, int(seed_value),
-                         table_mode=table_mode, table_block=table_block)
-             for seed_value in seeds]
-        )
+        # The instances are one stacked CountSketchEnsemble, built from the
+        # member seeds without building the member sketches: it holds
+        # their hash coefficients, tables and counters.
+        self._ensemble = CountSketchEnsemble.from_seeds(
+            n, buckets, rows, averaged_member_seeds(seed, num_instances),
+            table_mode=table_mode, table_block=table_block)
         self._n = n
 
     @property

@@ -29,9 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, SamplerStateError
-from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
+from repro.sketch.countsketch import CountSketchEnsemble
 from repro.utils.batching import BatchUpdateMixin, check_batch_bounds, coerce_batch
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
+from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
 from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
 from repro.utils.validation import (
     require_merge_compatible,
@@ -89,14 +89,12 @@ class MaxStabilityFpEstimator(BatchUpdateMixin):
             self._scaled_vectors = np.zeros((repetitions, n), dtype=float)
             self._sketch_ensemble: CountSketchEnsemble | None = None
         else:
-            seeds = random_seed_array(rng, repetitions)
-            # The inner repetition loop dispatches to the native ensemble:
-            # all per-repetition CountSketch tables live in one stacked
-            # structure and every batch lands in them with one scatter.
-            self._sketch_ensemble = CountSketchEnsemble([
-                CountSketch(n, self._buckets, self._rows, int(seed_value))
-                for seed_value in seeds
-            ])
+            # The repetitions' CountSketches are one stacked ensemble,
+            # built from their seeds without building the sketches, so
+            # every batch lands in all of them with one scatter.
+            self._sketch_ensemble = CountSketchEnsemble.from_seeds(
+                n, self._buckets, self._rows,
+                random_seed_array(rng, repetitions))
             self._scaled_vectors = None
         self._num_updates = 0
         self._estimate_memo: float | None = None
@@ -194,16 +192,19 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
 
     In oracle (``exact_recovery``) mode — the mode distribution-level
     experiments replicate by the hundreds — the ``R * repetitions`` scaled
-    vectors live in one ``(R, repetitions, n)`` array and every batch lands
-    in all of them with a single scatter-add.  In sketch mode each replica
+    vectors live in one ``(R, repetitions, n)`` array beside the stacked
+    scale factors, and every batch lands in all of them with a single
+    scatter-add; no instance is kept.  In sketch mode each replica
     ingests the batch through its own ``update_batch`` (one fused scatter
-    into its inner CountSketch ensemble), so state remains inside the
-    replica instances exactly as in the standalone path, and each replica
-    keeps its once-per-ingest-state estimate memo.
+    into its inner CountSketch ensemble), so the state lives inside the
+    replica instances exactly as in the standalone path, the ensemble
+    keeps them (:attr:`replicas`), and each replica keeps its
+    once-per-ingest-state estimate memo.  Either way the replicas must be
+    fresh when the ensemble is built.
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._num_updates > 0, "F_p")
         first = instances[0]
         if any((inst._n, inst._p, inst._repetitions, inst._exact_recovery)
                != (first._n, first._p, first._repetitions, first._exact_recovery)
@@ -211,14 +212,44 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
             raise InvalidParameterError(
                 "ensemble members must share (n, p, repetitions, recovery mode)")
         self._n = first._n
+        self._p = first._p
         self._exact = first._exact_recovery
         self._repetitions = first._repetitions
         if self._exact:
+            self._instances = None
             self._inverse_scales = np.stack(
                 [inst._inverse_scales for inst in instances])
             self._scaled_vectors = np.zeros(
                 (len(instances), self._repetitions, self._n), dtype=float)
             self._num_updates = np.zeros(len(instances), dtype=np.int64)
+        else:
+            self._instances = list(instances)
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas ``R``."""
+        if self._exact:
+            return self._scaled_vectors.shape[0]
+        return len(self._instances)
+
+    @property
+    def replicas(self) -> list:
+        """The sketch-mode replica instances, which hold the state.
+
+        Oracle mode keeps stacked arrays and no instance, so it has no
+        such attribute.
+        """
+        if self._exact:
+            raise AttributeError(
+                "an oracle-mode FpEstimatorEnsemble keeps stacked arrays, "
+                "not replica instances")
+        return self._instances
+
+    def space_counters(self) -> int:
+        """Total stored counters across all replicas."""
+        if self._exact:
+            return int(self._scaled_vectors.size)
+        return sum(instance.space_counters() for instance in self._instances)
 
     @classmethod
     def concat(cls, ensembles: "list[FpEstimatorEnsemble]") -> "FpEstimatorEnsemble":
@@ -232,25 +263,26 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         if not ensembles:
             raise InvalidParameterError("need at least one ensemble")
         first = ensembles[0]
-        if any((e._n, e._exact, e._repetitions, e._instances[0]._p)
-               != (first._n, first._exact, first._repetitions,
-                   first._instances[0]._p)
+        if any((e._n, e._p, e._exact, e._repetitions)
+               != (first._n, first._p, first._exact, first._repetitions)
                for e in ensembles):
             raise InvalidParameterError(
                 "ensembles must share (n, p, repetitions, recovery mode)")
         merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
+        merged._p = first._p
         merged._exact = first._exact
         merged._repetitions = first._repetitions
         if first._exact:
+            merged._instances = None
             merged._inverse_scales = np.concatenate(
                 [e._inverse_scales for e in ensembles])
             merged._scaled_vectors = np.concatenate(
                 [e._scaled_vectors for e in ensembles])
             merged._num_updates = np.concatenate(
                 [e._num_updates for e in ensembles])
+        else:
+            merged._instances = [inst for e in ensembles for inst in e._instances]
         return merged
 
     def merge(self, other: "FpEstimatorEnsemble") -> "FpEstimatorEnsemble":
@@ -335,7 +367,7 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         maxima = np.max(np.abs(self._scaled_vectors[replica]), axis=1)
         if np.any(maxima <= 0):
             return 0.0
-        inverse_moments = maxima ** (-self._instances[replica]._p)
+        inverse_moments = maxima ** (-self._p)
         return float((self._repetitions - 1) / inverse_moments.sum())
 
     def sample_replica(self, replica: int):

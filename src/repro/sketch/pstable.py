@@ -29,7 +29,7 @@ from repro.utils.batching import (
     check_batch_bounds,
     coerce_batch,
 )
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble
+from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
 from repro.utils.rng import SeedLike, ensure_rng, splitmix64
 from repro.utils.validation import (
     require_merge_compatible,
@@ -284,7 +284,7 @@ class PStableEnsemble(ReplicaEnsemble):
     """
 
     def __init__(self, instances) -> None:
-        super().__init__(instances)
+        require_fresh(instances, lambda inst: inst._num_updates > 0, "p-stable")
         first = instances[0]
         if any((inst._n, inst._p, inst._num_rows) != (first._n, first._p, first._num_rows)
                for inst in instances):
@@ -313,8 +313,6 @@ class PStableEnsemble(ReplicaEnsemble):
                for e in ensembles):
             raise InvalidParameterError("ensembles must share (n, p, num_rows)")
         merged = cls.__new__(cls)
-        ReplicaEnsemble.__init__(
-            merged, [inst for e in ensembles for inst in e._instances])
         merged._n = first._n
         merged._p = first._p
         merged._num_rows = first._num_rows
@@ -346,6 +344,11 @@ class PStableEnsemble(ReplicaEnsemble):
              "replica seeds": self._roots},
             {"n": other._n, "p": other._p, "num_rows": other._num_rows,
              "replica seeds": other._roots})
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas ``R``."""
+        return self._state.shape[0]
 
     def space_counters(self) -> int:
         """Total stored counters across all replicas."""

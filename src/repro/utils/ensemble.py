@@ -28,6 +28,17 @@ A native ensemble stacks the per-replica state along axis 0:
   sub-structure ensembles and broadcast the per-replica scaled deltas
   ``(R, B)`` into them in one shared ingest pass.
 
+That stacked state, plus the per-replica parameters the queries read
+(scales, query-time generators), is *all* an array-stacked ensemble keeps:
+the instances it was built from are dropped, so pickles, worker payloads
+and snapshots carry counters and hash coefficients, not a second set of
+zero tables and object graphs.  Its builder therefore refuses a replica
+that has already ingested updates.  Composite samplers skip the instances
+altogether: ``CountSketchEnsemble.from_seeds``, ``AMSEnsemble.from_seeds``
+and ``JW18LpSamplerEnsemble.from_seeds`` draw exactly what the standalone
+constructors would from the same seeds, through the same per-replica draw
+helpers.
+
 One batch of stream updates is applied to *all* replicas with a single
 scatter-add / matrix product per substrate; per-cell accumulation order is
 identical to the standalone path, so replica state is bit-identical to
@@ -41,10 +52,12 @@ Scalar classes register a native ensemble builder with
 the probe instances (walking the MRO, so e.g. ``PerfectL2Sampler`` finds the
 ``JW18LpSampler`` builder) and falls back to :class:`SamplerEnsemble`,
 which shares the materialised stream and the chunked replay across replicas
-but keeps per-replica state inside the instances themselves.  Composite
-samplers use the same hook to dispatch their *inner* repetition loops
-(value-estimation banks, max-stability repetitions, the ``N`` parallel
-``L_2`` samplers of Algorithms 1-2) to native ensembles.
+but keeps per-replica state inside the instances themselves — the fallback
+also takes replicas a native builder refuses (mismatched configurations,
+or replicas that are not fresh).  Composite samplers build their *inner*
+repetition loops (value-estimation banks, max-stability repetitions, the
+``N`` parallel ``L_2`` samplers of Algorithms 1-2) as native ensembles
+straight from seeds.
 
 :func:`ensemble_samples` is the evaluation-facing entry point: build ``R``
 replicas from a seed-indexed factory, ingest one shared stream, and return
@@ -100,17 +113,20 @@ SCATTER_CHUNK_ELEMENTS = 1 << 16
 class ReplicaEnsemble:
     """Base class for ``R`` independent replicas with one shared ingest pass.
 
-    Subclasses own the stacked per-replica state and must implement
-    ``update_batch`` (applying one batch to every replica) and
-    ``sample_replica``/queries.  The instances the ensemble was built from
-    are retained as seed/configuration carriers (their own tables are not
-    populated by ensemble ingest unless the subclass says otherwise).
+    Subclasses own the replicas' state and implement ``num_replicas``,
+    ``update_batch``, ``space_counters``, ``concat`` and
+    ``sample_replica``/queries.  The array-stacked ensembles (CountSketch,
+    CountMin, AMS, p-stable, oracle-mode F_p, JW18 and precision) keep
+    only their stacked arrays (hash families, tables, counters, scales)
+    and the per-replica parameters their queries read — never the
+    instances they were built from, which they would otherwise pickle,
+    ship and hold for nothing.  Because they start from zero state, their
+    builders refuse a replica that has already ingested updates
+    (:func:`build_ensemble` then falls back to :class:`SamplerEnsemble`).
+    :class:`SamplerEnsemble`, :class:`LevelStackEnsemble` and sketch-mode
+    ``FpEstimatorEnsemble`` keep their instances, because there the
+    instances are the state; only they have ``replicas``.
     """
-
-    def __init__(self, instances: Sequence) -> None:
-        if not instances:
-            raise InvalidParameterError("an ensemble needs at least one replica")
-        self._instances = list(instances)
 
     @classmethod
     def concat(cls, ensembles: "Sequence[ReplicaEnsemble]") -> "ReplicaEnsemble":
@@ -121,19 +137,8 @@ class ReplicaEnsemble:
         (possibly in another process), and ``concat`` reassembles the full
         ensemble — replica order is the shard order, and per-replica state
         is carried over untouched.
-
-        The base implementation re-wraps the combined instance list, which
-        is exact for ensembles whose per-replica state lives *inside* the
-        instances (:class:`SamplerEnsemble`, :class:`LevelStackEnsemble`).
-        Array-stacked ensembles override it with pure array concatenation.
         """
-        if not ensembles:
-            raise InvalidParameterError("need at least one ensemble")
-        if any(type(e) is not cls for e in ensembles):
-            raise InvalidParameterError(
-                "can only concat ensembles of one type; got "
-                f"{sorted({type(e).__name__ for e in ensembles})}")
-        return cls([inst for e in ensembles for inst in e._instances])
+        raise NotImplementedError
 
     def merge(self, other: "ReplicaEnsemble") -> "ReplicaEnsemble":
         """Entrywise-merge a same-seed ensemble fed a disjoint stream shard.
@@ -151,12 +156,7 @@ class ReplicaEnsemble:
     @property
     def num_replicas(self) -> int:
         """Number of replicas ``R``."""
-        return len(self._instances)
-
-    @property
-    def replicas(self) -> list:
-        """The underlying per-replica instances (seed/config carriers)."""
-        return self._instances
+        raise NotImplementedError
 
     def update_batch(self, indices, deltas) -> None:
         """Apply one batch of turnstile updates to every replica."""
@@ -168,7 +168,7 @@ class ReplicaEnsemble:
 
     def space_counters(self) -> int:
         """Total stored counters across all replicas."""
-        return sum(instance.space_counters() for instance in self._instances)
+        raise NotImplementedError
 
     def sample_replica(self, replica: int):
         """One-shot sample of replica ``replica`` (or ``None`` on FAIL)."""
@@ -179,7 +179,59 @@ class ReplicaEnsemble:
         return [self.sample_replica(r) for r in range(self.num_replicas)]
 
 
-class SamplerEnsemble(ReplicaEnsemble):
+def require_fresh(instances: Sequence, stale: Callable[[object], bool],
+                  kind: str) -> None:
+    """Raise unless there is a replica and none of them is ``stale``.
+
+    An array-stacked ensemble starts from zero state and keeps no
+    instance, so the state of a replica that has already ingested would be
+    lost without a trace; refusing it lets :func:`build_ensemble` fall
+    back to :class:`SamplerEnsemble`, which keeps the instances with their
+    state.
+    """
+    if not instances:
+        raise InvalidParameterError("an ensemble needs at least one replica")
+    if any(stale(instance) for instance in instances):
+        raise InvalidParameterError(
+            f"a native {kind} ensemble starts from zero state, so its "
+            "replicas must be fresh; one has already ingested updates")
+
+
+class _InstanceEnsemble(ReplicaEnsemble):
+    """Replicas whose state lives inside the instances themselves."""
+
+    def __init__(self, instances: Sequence) -> None:
+        if not instances:
+            raise InvalidParameterError("an ensemble needs at least one replica")
+        self._instances = list(instances)
+
+    @classmethod
+    def concat(cls, ensembles: "Sequence[ReplicaEnsemble]") -> "ReplicaEnsemble":
+        """Re-wrap the combined instance list (the state is in them)."""
+        if not ensembles:
+            raise InvalidParameterError("need at least one ensemble")
+        if any(type(e) is not cls for e in ensembles):
+            raise InvalidParameterError(
+                "can only concat ensembles of one type; got "
+                f"{sorted({type(e).__name__ for e in ensembles})}")
+        return cls([inst for e in ensembles for inst in e._instances])
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas ``R``."""
+        return len(self._instances)
+
+    @property
+    def replicas(self) -> list:
+        """The per-replica instances, which hold the replicas' state."""
+        return self._instances
+
+    def space_counters(self) -> int:
+        """Total stored counters across all replicas."""
+        return sum(instance.space_counters() for instance in self._instances)
+
+
+class SamplerEnsemble(_InstanceEnsemble):
     """Generic fallback ensemble: per-replica state stays in the instances.
 
     The stream is materialised and validated once and each chunk is fed to
@@ -222,7 +274,7 @@ class SamplerEnsemble(ReplicaEnsemble):
         return self._instances[replica].sample()
 
 
-class LevelStackEnsemble(ReplicaEnsemble):
+class LevelStackEnsemble(_InstanceEnsemble):
     """Native ensemble for subsampling-level stacks (L_0 machinery).
 
     Used by :class:`~repro.samplers.l0_sampler.PerfectL0Sampler` and
@@ -305,10 +357,14 @@ def register_ensemble(scalar_cls: type,
     """Register a native ensemble builder for a scalar sketch/sampler class.
 
     ``builder(instances)`` receives the list of already-constructed scalar
-    instances (cheap seed carriers thanks to lazy hash-table construction)
-    and returns the native ensemble.  Registration happens at module import
-    time in each substrate's module, so any code able to construct an
-    instance automatically sees its native ensemble.
+    instances, reads their hash coefficients and scales, and returns the
+    native ensemble, which keeps none of them.  It raises
+    :class:`~repro.exceptions.InvalidParameterError` for replicas it cannot
+    stack (mismatched configurations, or replicas that have already
+    ingested), and :func:`build_ensemble` then falls back to
+    :class:`SamplerEnsemble`.  Registration happens at module import time
+    in each substrate's module, so any code able to construct an instance
+    automatically sees its native ensemble.
     """
     _ENSEMBLE_BUILDERS[scalar_cls] = builder
 
@@ -333,7 +389,8 @@ def build_ensemble(instances: Sequence) -> ReplicaEnsemble:
         return builder(instances)
     except InvalidParameterError:
         # Heterogeneous configurations across replicas (different shapes /
-        # modes) cannot be stacked; fall back to the per-instance path.
+        # modes), or replicas that already hold ingested state, cannot be
+        # stacked; fall back to the per-instance path, which keeps them.
         return SamplerEnsemble(instances)
 
 

@@ -12,8 +12,8 @@ merges the per-worker results back together, preserving the engine's
 bit-identity contract.
 
 Mode (a) — replica sharding (:func:`replica_sharded_ensemble`)
-    The *replica* range is partitioned: each shard wraps a contiguous slice
-    of the ``R`` replica instances in its own native
+    The *replica* range is partitioned: each shard stacks a contiguous
+    slice of the ``R`` replica instances into its own native
     :class:`~repro.utils.ensemble.ReplicaEnsemble` and ingests the full
     shared stream.  Per-replica state computation is untouched — a replica
     runs the exact same kernels whether its ensemble holds 1 or 1000
@@ -505,9 +505,9 @@ def stream_sharded_ensemble(factory: Callable[[int], object],
     ingests the sub-stream of the coordinates it owns, and the copies are
     folded together with the linear-sketch ``merge`` protocol — entrywise
     state addition, the coordinator step of Section 1.3.  The returned
-    ensemble carries the first shard's replica instances, whose query-time
-    generators were never consumed during ingest, so post-merge samples
-    follow the monolithic draw sequence.
+    ensemble is the first shard's copy with the others folded in; it keeps
+    that copy's per-replica query-time generators, which ingest never
+    consumes, so post-merge samples follow the monolithic draw sequence.
 
     ``assignment`` (a length-``n`` coordinate-to-shard array) may be given
     directly; otherwise it is derived from ``config.num_shards`` and

@@ -93,6 +93,7 @@ caller instead of being absorbed by dead-worker handling.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import hmac
 import json
@@ -123,6 +124,7 @@ __all__ = [
     "frames_as_bytes",
     "frames_nbytes",
     "loads_frames",
+    "read_frames",
     "recv_frames",
     "recv_frames_counted",
     "recv_message",
@@ -156,6 +158,12 @@ _MAX_FRAME_BYTES = 1 << 40
 HANDSHAKE_MAX_FRAME_BYTES = 1 << 20
 #: recv() chunk size for large frames.
 _RECV_CHUNK = 1 << 20
+#: :func:`loads_frames` unpickles a writable buffer in place only at this
+#: alignment.  numpy rebuilds an out-of-band array as a view of its
+#: buffer, and a float64 view that is not 8-byte aligned is summed in
+#: buffered blocks of 8192 elements, so a reduction over more elements
+#: than that would round differently from the array it was pickled from.
+_BUFFER_ALIGNMENT = 8
 
 #: Frames below this many bytes skip compression even on a compressed
 #: link: zlib on a 100-byte control message costs more than it saves.
@@ -276,21 +284,35 @@ def dumps_frames(obj) -> list:
     return [body] + [buffer.raw() for buffer in buffers]
 
 
+def _usable_in_place(frame) -> bool:
+    """Whether an out-of-band buffer can back its array without a copy:
+    writable, and aligned to :data:`_BUFFER_ALIGNMENT`."""
+    view = memoryview(frame)
+    if view.readonly:
+        return False
+    if view.nbytes == 0:
+        return True
+    address = ctypes.addressof(ctypes.c_char.from_buffer(view))
+    return address % _BUFFER_ALIGNMENT == 0
+
+
 def loads_frames(frames: Sequence) -> object:
     """Rebuild the object serialised by :func:`dumps_frames`.
 
-    Out-of-band buffer frames arriving as read-only ``bytes`` (everything
-    that crossed a socket or a pool queue) are copied into mutable
-    ``bytearray``\\ s first: numpy reconstructs an out-of-band array as a
-    zero-copy view over its buffer, inheriting the buffer's writability,
-    and a read-only ensemble state could not ingest further updates.
-    Writable source buffers pass through zero-copy — which also means they
-    *alias* the originals; force the copy (e.g. via :func:`frames_as_bytes`)
-    when an independent clone is required.
+    Out-of-band buffer frames arriving read-only (everything that crossed
+    a socket or a pool queue, or views of an immutable ``bytes`` message)
+    are copied into mutable ``bytearray``\\ s first: numpy reconstructs an
+    out-of-band array as a zero-copy view over its buffer, inheriting the
+    buffer's writability, and a read-only ensemble state could not ingest
+    further updates.  So are writable buffers that are not aligned (see
+    :data:`_BUFFER_ALIGNMENT`).  Every other writable buffer passes
+    through zero-copy — which also means it *aliases* the original; force
+    the copy (e.g. via :func:`frames_as_bytes`) when an independent clone
+    is required.
     """
     if not frames:
         raise TransportError("cannot unpickle an empty frame list")
-    buffers = [bytearray(frame) if memoryview(frame).readonly else frame
+    buffers = [frame if _usable_in_place(frame) else bytearray(frame)
                for frame in frames[1:]]
     return pickle.loads(frames[0], buffers=buffers)
 
@@ -489,25 +511,28 @@ def recv_frames(sock: socket.socket, *,
     return frames
 
 
-def decode_frames(data: bytes, *,
-                  max_frame_bytes: int = _MAX_FRAME_BYTES) -> list[bytes]:
+def decode_frames(data, *,
+                  max_frame_bytes: int = _MAX_FRAME_BYTES) -> list:
     """Parse one in-memory wire message produced by :func:`encode_frames`.
 
+    Raw frames come back as ``memoryview`` slices of ``data``, not copies
+    (compressed ones decompress into new ``bytes``); they compare equal to
+    the bytes they hold, and keep ``data`` alive while they do.
     Strict: a truncated buffer raises the same mid-frame
     :class:`TransportError` a closed socket would, and trailing bytes
     after the message are refused (a socket leaves them for the next
     message; a byte buffer has no next message).
     """
-    view = memoryview(data)
+    view = memoryview(data).cast("B")
     offset = 0
 
-    def read_exact(size: int) -> bytes:
+    def read_exact(size: int) -> memoryview:
         nonlocal offset
         if offset + size > len(view):
             raise TransportError(
                 f"connection closed mid-frame "
                 f"({len(view) - offset}/{size} bytes)")
-        chunk = bytes(view[offset:offset + size])
+        chunk = view[offset:offset + size]
         offset += size
         return chunk
 
@@ -515,6 +540,40 @@ def decode_frames(data: bytes, *,
     if offset != len(view):
         raise TransportError(
             f"{len(view) - offset} trailing bytes after the message")
+    return frames
+
+
+def read_frames(stream, *, size: int,
+                max_frame_bytes: int = _MAX_FRAME_BYTES) -> list:
+    """Parse one wire message from a binary file holding ``size`` more bytes.
+
+    Each raw frame is read with ``readinto`` into a ``bytearray`` of its
+    own, so every byte is read once and never copied, and each frame is
+    writable and aligned as allocated: :func:`loads_frames` uses its
+    out-of-band buffers in place.  A length field that claims more than
+    the rest of the file is refused before anything is allocated.  As
+    strict as :func:`decode_frames`: a short file raises a mid-frame
+    :class:`TransportError` and trailing bytes are refused.
+    """
+    remaining = size
+
+    def read_exact(count: int) -> bytearray:
+        nonlocal remaining
+        if count > remaining:
+            raise TransportError(
+                f"connection closed mid-frame ({remaining}/{count} bytes)")
+        chunk = bytearray(count)
+        got = stream.readinto(chunk)
+        if got != count:
+            raise TransportError(
+                f"connection closed mid-frame ({got}/{count} bytes)")
+        remaining -= count
+        return chunk
+
+    frames, _ = _read_frames(read_exact, max_frame_bytes=max_frame_bytes)
+    if remaining or stream.read(1):
+        raise TransportError(
+            f"{max(remaining, 1)} trailing bytes after the message")
     return frames
 
 

@@ -74,7 +74,6 @@ def reference_sample_replica(ensemble, replica: int):
     """The per-replica ``sample_replica`` walk (sketch mode)."""
     if ensemble._num_updates == 0:
         return None
-    instance = ensemble.replicas[replica]
     magnitudes = np.abs(reference_scaled_estimates(ensemble)[replica])
     if not np.any(magnitudes > 0):
         return None
@@ -83,29 +82,30 @@ def reference_sample_replica(ensemble, replica: int):
     runner_up = float(magnitudes[order[1]]) if ensemble._n > 1 else 0.0
     gap = float(magnitudes[best]) - runner_up
     threshold = 0.0
-    if instance._gap_test:
+    if ensemble._gap_test:
         scale = reference_l2_scale(ensemble._ams, replica)
-        jitter = instance._rng.uniform(0.5, 1.5)
-        threshold = (instance._gap_multiplier * jitter * scale
-                     / math.sqrt(instance._buckets))
+        jitter = ensemble._rngs[replica].uniform(0.5, 1.5)
+        threshold = (ensemble._gap_multiplier * jitter * scale
+                     / math.sqrt(ensemble._buckets))
         if gap <= threshold:
             return None
+    exponentials = ensemble._exponentials[replica]
     scaled = float(np.mean(reference_value_members(ensemble, replica, best)))
     return Sample(
         index=best,
-        value_estimate=scaled * instance._exponentials[best] ** (1.0 / ensemble._p),
+        value_estimate=scaled * exponentials[best] ** (1.0 / ensemble._p),
         metadata={
             "gap": gap,
             "gap_threshold": threshold,
             "scaled_maximum": float(magnitudes[best]),
-            "exponential": float(instance._exponentials[best]),
+            "exponential": float(exponentials[best]),
         },
     )
 
 
 def reference_independent_estimates(ensemble, replica: int, index: int,
                                     count: int) -> np.ndarray:
-    unscale = ensemble.replicas[replica]._exponentials[index] ** (1.0 / ensemble._p)
+    unscale = ensemble._exponentials[replica, index] ** (1.0 / ensemble._p)
     estimates = reference_value_members(ensemble, replica, index)
     group_size = max(1, len(estimates) // count)
     groups = []
@@ -189,10 +189,10 @@ def assert_same_outcome(left, right, context: str) -> None:
 def assert_same_generators(left, right, context: str) -> None:
     assert left._clip_events == right._clip_events, context
     assert left._rng.bit_generator.state == right._rng.bit_generator.state, context
-    for replica, (mine, theirs) in enumerate(zip(left._l2_ensemble.replicas,
-                                                 right._l2_ensemble.replicas)):
-        assert (mine._rng.bit_generator.state
-                == theirs._rng.bit_generator.state), f"{context} replica {replica}"
+    for replica, (mine, theirs) in enumerate(zip(left._l2_ensemble._rngs,
+                                                 right._l2_ensemble._rngs)):
+        assert (mine.bit_generator.state
+                == theirs.bit_generator.state), f"{context} replica {replica}"
 
 
 def _stream_halves(n: int, seed: int):

@@ -21,7 +21,9 @@ full ensemble registry (the ``CASES`` list of
 
 The writer streams raw frames: the file :func:`save_snapshot` writes is
 byte-for-byte :func:`snapshot_bytes`, it makes no full-size copy of the
-state, and zlib-flagged files of earlier builds still load.
+state, and zlib-flagged frames still load.  Files of earlier format
+versions are refused before anything is unpickled, and a restore holds
+one copy of the file.
 """
 
 from __future__ import annotations
@@ -203,14 +205,15 @@ def test_saved_base_plus_delta_is_incremental_checkpoint(case) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _zlib_snapshot(obj, extra: dict) -> bytes:
-    """A version-2 snapshot as earlier builds wrote it by default: the same
-    prefix and metadata, with every frame of 512+ bytes deflated when that
-    shrinks it."""
-    meta = {"format": "repro-snapshot", "snapshot_version": 2,
+def _zlib_snapshot(obj, extra: dict, version: int = SNAPSHOT_VERSION) -> bytes:
+    """A snapshot with zlib-flagged frames, as earlier builds wrote them by
+    default and negotiated worker links still send: the same prefix and
+    metadata, with every frame of 512+ bytes deflated when that shrinks
+    it."""
+    meta = {"format": "repro-snapshot", "snapshot_version": version,
             "class": f"{type(obj).__module__}.{type(obj).__qualname__}",
             "extra": extra}
-    prefix = struct.pack(">4sB", b"RSNP", 2)
+    prefix = struct.pack(">4sB", b"RSNP", version)
     frames = [json.dumps(meta, sort_keys=True).encode("utf-8")]
     return (prefix + struct.pack(">I", zlib.crc32(prefix))
             + encode_frames(frames + dumps_frames(obj), compression="zlib"))
@@ -227,15 +230,17 @@ def _small_snapshot(seed: int, codec) -> bytes:
     return snapshot_bytes(sketch, extra=extra)
 
 
-def test_zlib_snapshot_of_earlier_builds_still_loads(tmp_path) -> None:
-    """A zlib-flagged file restores to an object that answers alike."""
+def test_zlib_flagged_snapshot_loads_and_version_2_is_refused(tmp_path) -> None:
+    """A zlib-flagged version-3 file restores to an object that answers
+    alike; a version-2 zlib file of an earlier build is refused before
+    its body is unpickled."""
     sketch = CountSketch(1024, 64, 5, seed=7)
     rng = np.random.default_rng(7)
     sketch.update_batch(rng.integers(0, 1024, size=4096),
                         rng.integers(-9, 10, size=4096).astype(float))
     blob = _zlib_snapshot(sketch, {"sequence": 12})
     assert len(blob) < frames_nbytes(dumps_frames(sketch)) // 2  # deflated
-    path = tmp_path / "earlier.rsnp"
+    path = tmp_path / "zlib.rsnp"
     path.write_bytes(blob)
     restored, meta = read_snapshot(path, expected_type=CountSketch)
     assert meta["extra"] == {"sequence": 12}
@@ -243,6 +248,13 @@ def test_zlib_snapshot_of_earlier_builds_still_loads(tmp_path) -> None:
                                   sketch.estimate_all())
     for index in (0, 5, 1023):
         assert restored.estimate(index) == sketch.estimate(index)
+
+    earlier = tmp_path / "earlier.rsnp"
+    earlier.write_bytes(_zlib_snapshot(_LoadRecorder(), {}, version=2))
+    _LOADED.clear()
+    with pytest.raises(SnapshotError, match="version 2"):
+        load_snapshot(earlier)
+    assert _LOADED == []
 
 
 def test_metadata_inspection_without_unpickling() -> None:
@@ -296,16 +308,18 @@ class _LoadRecorder:
         return (_record_load, ("loaded",))
 
 
-def test_version_1_snapshot_is_refused_before_unpickling(tmp_path) -> None:
-    """A version-1 file fails the header check; its body never loads.
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_version_is_refused_before_unpickling(tmp_path,
+                                                      version) -> None:
+    """A version-1 or version-2 file fails the header check; its body
+    never loads.
 
-    Version-1 ensembles reference the deleted array-backend module, so
-    the header check must refuse them with a :class:`SnapshotError`
-    naming the version instead of failing inside pickle.
+    Version-1 ensembles reference the deleted array-backend module, and
+    version-2 native ensembles carry the replica instances that format 3
+    dropped, so the header check must refuse them with a
+    :class:`SnapshotError` naming the version instead of failing inside
+    pickle or restoring an object of the wrong layout.
     """
-    import struct
-    import zlib
-
     path = tmp_path / "recorder.rsnp"
     save_snapshot(_LoadRecorder(), path)
     _LOADED.clear()
@@ -314,13 +328,44 @@ def test_version_1_snapshot_is_refused_before_unpickling(tmp_path) -> None:
     _LOADED.clear()
 
     data = bytearray(path.read_bytes())
-    assert data[4] == SNAPSHOT_VERSION == 2
-    data[4] = 1
+    assert data[4] == SNAPSHOT_VERSION == 3
+    data[4] = version
     data[5:9] = struct.pack(">I", zlib.crc32(bytes(data[:5])))
     path.write_bytes(bytes(data))
-    with pytest.raises(SnapshotError, match="version 1"):
+    with pytest.raises(SnapshotError, match=f"version {version}"):
         load_snapshot(path)
     assert _LOADED == []
+
+
+def test_restore_holds_one_copy_of_the_file(tmp_path) -> None:
+    """A 32 MiB snapshot restores within 40 MiB of traced memory (it
+    peaked at three times the file when the read, the header slice, each
+    frame and each buffer were copied), into a writable array."""
+    state = np.random.default_rng(3).standard_normal(1 << 22)
+    path = tmp_path / "big.rsnp"
+    save_snapshot(state, path)
+    tracemalloc.start()
+    try:
+        restored = load_snapshot(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"restore peaked at {peak / 2**20:.1f} MiB"
+    assert restored.flags.writeable and restored.flags.aligned
+    np.testing.assert_array_equal(restored, state)
+    restored += 1.0
+
+
+def test_writable_snapshot_buffer_restores_aligned_arrays() -> None:
+    """Frames decoded from a writable buffer are views at arbitrary
+    offsets; an unaligned float64 view would sum in 8192-element blocks and
+    round differently, so such buffers are copied, not used in place."""
+    state = np.random.default_rng(5).standard_normal(3 * 8192 + 5)
+    for pad in range(8):
+        blob = bytearray(snapshot_bytes(state, extra={"pad": "x" * pad}))
+        restored = object_from_snapshot(blob)[0]
+        assert restored.flags.aligned and restored.flags.writeable
+        assert restored.sum() == state.sum()
 
 
 def test_loading_non_snapshot_bytes_is_refused(tmp_path) -> None:
