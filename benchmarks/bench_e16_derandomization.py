@@ -3,7 +3,7 @@
 Paper artifact: Section 3's derandomisation (Theorem 3.19 / Theorem 3.21),
 which replaces the sampler's exponential and CountSketch randomness with a
 PRG that fools half-space testers.  The simulation substitutes a
-seed-bounded hash generator (DESIGN.md, "Substitutions"); this benchmark
+seed-bounded hash generator (see :mod:`repro.derandomization.prg`); this benchmark
 measures (a) the acceptance bias of the gap-test half-space tester under the
 generator and (b) the total-variation shift of an exponential-race L_1
 sampler when its randomness comes from the generator, as the seed length

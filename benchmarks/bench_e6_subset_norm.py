@@ -39,7 +39,7 @@ def run_experiment():
     total_moment = exact_subset_moment(vector, range(n), p)
 
     # Query sets engineered so that ||x_Q||_p^p holds an alpha-fraction of
-    # the total moment in the band DESIGN.md prescribes (~0.05-0.3): each
+    # the total moment in the band ~0.05-0.3: each
     # query keeps one of the four heavy items plus many light items, or
     # forgets two heavy users and retains the rest.
     half = [i for i in range(n // 2) if i not in set(heavy.tolist())]

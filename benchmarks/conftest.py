@@ -1,7 +1,7 @@
 """Pytest configuration for the experiment benchmarks.
 
-Each ``bench_*.py`` file regenerates one artifact of DESIGN.md's experiment
-index (the regenerated Table 1 or one theorem-level experiment E1-E12).
+Each ``bench_*.py`` file regenerates one experiment artifact (the
+regenerated Table 1 or one theorem-level experiment E1-E21).
 Helpers shared by the benchmark bodies live in ``_harness.py``; this
 conftest only provides fixtures.
 """

@@ -149,7 +149,6 @@ from repro.sketch import (
     PairwiseHash,
     PStableSketch,
     PStableEnsemble,
-    RandomBucketCountSketch,
     RoughL0Estimator,
     SignHash,
 )
@@ -355,7 +354,6 @@ __all__ = [
     "cache_stats",
     "set_cache_budget",
     "table_mode",
-    "RandomBucketCountSketch",
     "CountMin",
     "AMSSketch",
     "FpEstimator",

@@ -81,8 +81,8 @@ class DiscretizedDuplication:
         ``rnd_eta`` discretisation parameter (the paper uses
         ``eta = O(epsilon)/sqrt(log n)``).
     duplication:
-        Number of conceptual copies per coordinate (``n^c`` in the paper;
-        configurable, see DESIGN.md "Substitutions").
+        Number of conceptual copies per coordinate (``n^c`` for a constant
+        ``c`` in the paper; a parameter here, so experiments can vary it).
     dynamic_range:
         Bound ``R`` such that all scale factors of interest lie within
         ``[1/R, R]``; factors outside clamp to the boundary.

@@ -25,7 +25,7 @@ Taylor expansion of Lemma 2.7 for fractional ``p`` (Algorithm 2) — so this
 module hosts the common driver and the two subclasses plug in their
 exponent estimator.
 
-Two execution backends are offered (see DESIGN.md "Substitutions"):
+Two execution backends are offered:
 
 ``"sketch"``
     The honest streaming algorithm: real ``L_2`` sampler instances with

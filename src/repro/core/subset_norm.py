@@ -58,8 +58,8 @@ class SubsetMomentEstimator(BatchUpdateMixin):
         Overrides the default ``R``.
     sampler_backend:
         ``"oracle"`` or ``"sketch"`` — backend of the per-repetition perfect
-        ``L_p`` samplers (see DESIGN.md "Substitutions"); the ``F_p``
-        estimators are always honest sketches unless
+        ``L_p`` samplers (see the backends of :mod:`repro.core.lp_base`);
+        the ``F_p`` estimators are always honest sketches unless
         ``estimator_exact_recovery`` is set.
     repetition_constant:
         The constant in ``R = ceil(constant / (alpha * eps^2))``.

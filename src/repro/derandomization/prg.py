@@ -4,8 +4,8 @@ The paper derandomises its samplers with two generator instantiations
 (Section 3, following [JW18]): one fooling the CountSketch randomness
 (Lemma 3.20) and one fooling the exponential scaling variables through the
 half-space PRG of [GKM18] (Theorem 3.19).  Both constructions are about the
-word-RAM bit model; in a NumPy simulation the honest substitute (documented
-in DESIGN.md) is a *seed-bounded* generator whose entire output is a
+word-RAM bit model; in a NumPy simulation the honest substitute is a
+*seed-bounded* generator whose entire output is a
 deterministic function of an explicitly sized seed, so that experiments can
 measure how the output distribution of a sampler degrades as the seed
 shrinks.

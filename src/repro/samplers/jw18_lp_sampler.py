@@ -23,8 +23,13 @@ The implementation supports an ``exact_recovery`` oracle mode in which the
 scaled vector is tracked exactly instead of sketched.  The sampling
 *distribution* is identical when the sketches succeed; oracle mode exists so
 that distribution-level statistical tests (thousands of independent draws)
-run at laptop speed.  DESIGN.md records this as an evaluation device, not as
-part of the algorithm.
+run at laptop speed.  It is an evaluation device, not part of the
+algorithm.
+
+The sampler is written once, in :class:`JW18LpSamplerEnsemble` (``R``
+samplers stacked along a replica axis): :class:`JW18LpSampler` is a view of
+a one-replica ensemble (see :mod:`repro.utils.ensemble`), and
+:func:`draw_jw18_replica` is the one copy of the draw order both use.
 """
 
 from __future__ import annotations
@@ -35,17 +40,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
-from repro.sketch.ams import AMSEnsemble, AMSSketch
-from repro.sketch.countsketch import (
-    AveragedCountSketch,
-    CountSketch,
-    CountSketchEnsemble,
-    averaged_member_seeds,
-)
+from repro.samplers.base import Sample
+from repro.sketch.ams import AMSEnsemble
+from repro.sketch.countsketch import CountSketchEnsemble, averaged_member_seeds
 from repro.utils.batching import check_member_index
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.ensemble import (
+    ReplicaEnsemble,
+    ReplicaView,
+    register_ensemble,
+    require_replicas,
+)
+from repro.utils.rng import SeedLike, ensure_rng, replica_seed
 from repro.utils.validation import require_moment_order, require_positive_int
 
 #: Shape ``(width, depth)`` of every sampler's AMS sketch of ``z``.
@@ -70,8 +75,8 @@ def draw_jw18_replica(seed: SeedLike, n: int, exact_recovery: bool):
     where ``sample()``'s gap-test jitter continues; the ``n`` standard
     exponentials; and, in sketch mode, the seeds of the main CountSketch,
     the value bank and the AMS sketch (``None`` in oracle mode).
-    :class:`JW18LpSampler` and :meth:`JW18LpSamplerEnsemble.from_seeds`
-    both call this, so the draw order exists once.
+    :meth:`JW18LpSamplerEnsemble.from_seeds`, and so every
+    :class:`JW18LpSampler`, draws through this.
     """
     rng = ensure_rng(seed)
     # Independent exponentials; dense because every coordinate may be
@@ -83,8 +88,10 @@ def draw_jw18_replica(seed: SeedLike, n: int, exact_recovery: bool):
                                     for _ in range(3))
 
 
-class JW18LpSampler(BatchUpdateMixin):
+class JW18LpSampler(ReplicaView):
     """Perfect ``L_p`` sampler for ``p in (0, 2]`` on turnstile streams.
+
+    A view of a one-replica :class:`JW18LpSamplerEnsemble`.
 
     Parameters
     ----------
@@ -116,32 +123,13 @@ class JW18LpSampler(BatchUpdateMixin):
                  value_rows: int = 5, gap_test: bool = True,
                  gap_multiplier: float = 2.0,
                  exact_recovery: bool = False) -> None:
-        require_positive_int(n, "n")
-        require_moment_order(p, "p", minimum=0.0, maximum=2.0)
+        self._ensemble = JW18LpSamplerEnsemble.from_seeds(
+            n, p, [seed], buckets=buckets, rows=rows,
+            value_instances=value_instances, value_buckets=value_buckets,
+            value_rows=value_rows, gap_test=gap_test,
+            gap_multiplier=gap_multiplier, exact_recovery=exact_recovery)
         self._n = n
         self._p = float(p)
-        self._gap_test = gap_test
-        self._gap_multiplier = float(gap_multiplier)
-        self._exact_recovery = exact_recovery
-        self._buckets, value_buckets = _sketch_widths(n, buckets, value_buckets)
-        self._rng, self._exponentials, seeds = draw_jw18_replica(
-            seed, n, exact_recovery)
-        self._inverse_scale = self._exponentials ** (-1.0 / self._p)
-
-        if exact_recovery:
-            self._scaled_vector = np.zeros(n, dtype=float)
-            self._main_sketch: CountSketch | None = None
-            self._value_bank: AveragedCountSketch | None = None
-            self._ams: AMSSketch | None = None
-        else:
-            main_seed, value_seed, ams_seed = seeds
-            self._scaled_vector = None
-            self._main_sketch = CountSketch(n, self._buckets, rows, main_seed)
-            self._value_bank = AveragedCountSketch(
-                n, value_buckets, value_rows, value_instances, value_seed)
-            width, depth = _AMS_SHAPE
-            self._ams = AMSSketch(n, width=width, depth=depth, seed=ams_seed)
-        self._num_updates = 0
 
     @property
     def n(self) -> int:
@@ -153,102 +141,13 @@ class JW18LpSampler(BatchUpdateMixin):
         """Moment order."""
         return self._p
 
-    def space_counters(self) -> int:
-        """Stored counters (sketch cells, or the exact scaled vector in oracle mode)."""
-        if self._exact_recovery:
-            return self._n
-        return (
-            self._main_sketch.space_counters()
-            + self._value_bank.space_counters()
-            + self._ams.space_counters()
-        )
-
-    # ------------------------------------------------------------------ #
-    # Stream processing
-    # ------------------------------------------------------------------ #
-    def update(self, index: int, delta: float) -> None:
-        """Apply the stream update ``(index, delta)`` to the scaled vector."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        scaled_delta = delta * self._inverse_scale[index]
-        if self._exact_recovery:
-            self._scaled_vector[index] += scaled_delta
-        else:
-            self._main_sketch.update(index, scaled_delta)
-            self._value_bank.update(index, scaled_delta)
-            self._ams.update(index, scaled_delta)
-        self._num_updates += 1
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply a batch of updates to the scaled vector in one pass."""
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
-        scaled = deltas * self._inverse_scale[indices]
-        if self._exact_recovery:
-            np.add.at(self._scaled_vector, indices, scaled)
-        else:
-            self._main_sketch.update_batch(indices, scaled)
-            self._value_bank.update_batch(indices, scaled)
-            self._ams.update_batch(indices, scaled)
-        self._num_updates += int(indices.size)
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def _scaled_estimates(self) -> np.ndarray:
-        if self._exact_recovery:
-            return self._scaled_vector
-        return self._main_sketch.estimate_all()
-
-    def _l2_scale(self) -> float:
-        if self._exact_recovery:
-            return float(np.linalg.norm(self._scaled_vector))
-        return self._ams.estimate_l2()
-
     def sample(self) -> Optional[Sample]:
         """Return a perfect ``L_p`` draw, or ``None`` on the ``FAIL`` event."""
-        if self._num_updates == 0:
-            return None
-        estimates = self._scaled_estimates()
-        magnitudes = np.abs(estimates)
-        if not np.any(magnitudes > 0):
-            return None
-        order = np.argsort(-magnitudes)
-        best = int(order[0])
-        runner_up_magnitude = float(magnitudes[order[1]]) if self._n > 1 else 0.0
-        gap = float(magnitudes[best]) - runner_up_magnitude
-
-        threshold = 0.0
-        if self._gap_test and not self._exact_recovery:
-            scale = self._l2_scale()
-            jitter = self._rng.uniform(0.5, 1.5)
-            threshold = self._gap_multiplier * jitter * scale / math.sqrt(self._buckets)
-            if gap <= threshold:
-                return None
-
-        value_estimate = self.estimate_value(best)
-        return Sample(
-            index=best,
-            value_estimate=value_estimate,
-            metadata={
-                "gap": gap,
-                "gap_threshold": threshold,
-                "scaled_maximum": float(magnitudes[best]),
-                "exponential": float(self._exponentials[best]),
-            },
-        )
+        return self._ensemble._sample(0)
 
     def estimate_value(self, index: int) -> float:
         """Estimate ``x_index`` by unscaling the averaged CountSketch estimate."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        if self._exact_recovery:
-            scaled = float(self._scaled_vector[index])
-        else:
-            scaled = self._value_bank.estimate(index)
-        return scaled * self._exponentials[index] ** (1.0 / self._p)
+        return self._ensemble.estimate_value(0, index)
 
     def independent_value_estimates(self, index: int, count: int,
                                     group_size: int | None = None) -> np.ndarray:
@@ -260,27 +159,12 @@ class JW18LpSampler(BatchUpdateMixin):
         ``e_index^{1/p}``.  In oracle mode all estimates equal the exact
         value.
         """
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        require_positive_int(count, "count")
-        unscale = self._exponentials[index] ** (1.0 / self._p)
-        if self._exact_recovery:
-            return np.full(count, float(self._scaled_vector[index]) * unscale)
-        estimates = self._value_bank.instance_estimates(index)
-        if group_size is None:
-            group_size = max(1, len(estimates) // count)
-        groups = []
-        for group_index in range(count):
-            start = (group_index * group_size) % len(estimates)
-            chunk = estimates[start:start + group_size]
-            if len(chunk) < group_size:
-                chunk = np.concatenate([chunk, estimates[: group_size - len(chunk)]])
-            groups.append(float(np.mean(chunk)))
-        return np.asarray(groups) * unscale
+        return self._ensemble.independent_value_estimates(
+            0, index, count, group_size)
 
     def scaled_vector_estimate(self) -> np.ndarray:
         """The estimated scaled vector (exact in oracle mode)."""
-        return np.array(self._scaled_estimates(), copy=True)
+        return np.array(self._ensemble._scaled_estimates()[0], copy=True)
 
 
 class _Candidates(NamedTuple):
@@ -337,45 +221,17 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
     stacked ``(R, n)`` scaled-vector scatter.  Queries derive each
     replica's top coordinate, gap, ``L_2`` scale and value estimates for
     all replicas at once per ingest state; each draw then consumes its
-    replica's own query-time generator (kept in a list) exactly as the
-    standalone ``sample()`` does, so both state and samples are
-    bit-identical to driving each instance separately.
+    replica's own query-time generator (kept in a list), so both state and
+    samples are bit-identical however the replicas are stacked.
 
-    That is all the ensemble keeps: no instance.  The gap test, its
-    multiplier and the main-sketch width are the same for every replica
-    and are ensemble fields.  Replicas handed to the constructor must be
-    *fresh* (un-updated), because the stacked state starts from zero;
-    :meth:`from_seeds` builds the ensemble without building them.
+    That is all the ensemble keeps.  The gap test, its multiplier and the
+    main-sketch width are the same for every replica and are ensemble
+    fields.  Built from :class:`JW18LpSampler` views it concatenates their
+    one-replica ensembles; :meth:`from_seeds` draws the replicas directly.
     """
 
-    def __init__(self, instances) -> None:
-        require_fresh(instances, lambda inst: inst._num_updates > 0, "JW18")
-        first = instances[0]
-        def _config(inst):
-            value_instances = (None if inst._exact_recovery
-                               else inst._value_bank.num_instances)
-            return (inst._n, inst._p, inst._exact_recovery, inst._gap_test,
-                    inst._gap_multiplier, inst._buckets, value_instances)
-
-        if any(_config(inst) != _config(first) for inst in instances):
-            raise InvalidParameterError(
-                "ensemble replicas must share (n, p, mode, gap and value-bank "
-                "configuration)")
-        if first._exact_recovery:
-            substrates = (None, None, None, 0)
-        else:
-            substrates = (
-                CountSketchEnsemble([inst._main_sketch for inst in instances]),
-                CountSketchEnsemble.concat(
-                    [inst._value_bank._ensemble for inst in instances]),
-                AMSEnsemble([inst._ams for inst in instances]),
-                first._value_bank.num_instances)
-        self._setup(first._n, first._p, first._exact_recovery,
-                    first._gap_test, first._gap_multiplier, first._buckets,
-                    [inst._rng for inst in instances],
-                    np.stack([inst._exponentials for inst in instances]),
-                    np.stack([inst._inverse_scale for inst in instances]),
-                    *substrates)
+    #: Query caches: recomputed from the sketch tables by the next query.
+    _DERIVED = ("_estimates_cache", "_candidates")
 
     @classmethod
     def from_seeds(cls, n: int, p: float, seeds, *,
@@ -388,16 +244,13 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         in ``seeds``, without building those samplers.
 
         Each replica draws through :func:`draw_jw18_replica`, and its
-        substrates through the CountSketch and AMS ``from_seeds``, which
-        are the draws the standalone constructors make; so every state,
-        draw and generator equals what
-        :func:`~repro.utils.ensemble.build_ensemble` of the standalone
-        samplers gives.
+        substrates through the CountSketch and AMS ``from_seeds``, so
+        replica ``r``'s state, draws and generator are bitwise those of the
+        sampler with seed ``seeds[r]``.
         """
         require_positive_int(n, "n")
         require_moment_order(p, "p", minimum=0.0, maximum=2.0)
-        if len(seeds) == 0:
-            raise InvalidParameterError("an ensemble needs at least one replica")
+        require_replicas(seeds)
         p = float(p)
         buckets, value_buckets = _sketch_widths(n, buckets, value_buckets)
         replicas = len(seeds)
@@ -407,11 +260,11 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         inverse_scale = np.empty((replicas, n))
         for replica, seed in enumerate(seeds):
             rng, drawn, seeds_of_replica = draw_jw18_replica(
-                int(seed), n, exact_recovery)
+                replica_seed(seed), n, exact_recovery)
             rngs.append(rng)
             substrate_seeds.append(seeds_of_replica)
             exponentials[replica] = drawn
-            # Row by row, as the standalone constructor computes it.
+            # Row by row: the scaling is one sampler's (n,) computation.
             inverse_scale[replica] = drawn ** (-1.0 / p)
         if exact_recovery:
             substrates = (None, None, None, 0)
@@ -466,9 +319,13 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         """Number of replicas ``R``."""
         return len(self._rngs)
 
+    def _has_ingested(self) -> bool:
+        """Whether the replicas have ingested an update."""
+        return self._num_updates > 0
+
     def space_counters(self) -> int:
         """Stored counters across all replicas (sketch cells, or the exact
-        scaled vectors in oracle mode), as the standalone samplers count."""
+        scaled vectors in oracle mode)."""
         if self._exact:
             return int(self._scaled_vectors.size)
         return (self._main.space_counters() + self._value.space_counters()
@@ -485,8 +342,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         the stream), so the shared update count is taken from the first
         shard.
         """
-        if not ensembles:
-            raise InvalidParameterError("need at least one ensemble")
+        require_replicas(ensembles)
         first = ensembles[0]
         if any(e._shared() != first._shared() for e in ensembles):
             raise InvalidParameterError(
@@ -521,22 +377,10 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         generators of ``self``'s replicas are untouched by ingest and keep
         producing the monolithic draw sequence.  In place; returns ``self``.
         """
-        if not isinstance(other, JW18LpSamplerEnsemble):
-            raise InvalidParameterError(
-                "can only merge JW18LpSamplerEnsemble with its own kind")
-        if (other._shared() != self._shared()
-                or other.num_replicas != self.num_replicas
-                or not np.array_equal(self._inverse_scale, other._inverse_scale)):
-            raise InvalidParameterError(
-                "can only merge identically seeded, identically configured ensembles")
+        self.check_mergeable(other)
         if self._exact:
             self._scaled_vectors += other._scaled_vectors
         else:
-            # Validate all three substrates before touching any, so a
-            # mismatched peer cannot leave a partially merged replica.
-            self._main.check_mergeable(other._main)
-            self._value.check_mergeable(other._value)
-            self._ams.check_mergeable(other._ams)
             self._main.merge(other._main)
             self._value.merge(other._value)
             self._ams.merge(other._ams)
@@ -544,12 +388,27 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         self._drop_query_caches()
         return self
 
-    def update_batch(self, indices, deltas) -> None:
-        """Scale one batch for every replica and ingest it everywhere."""
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
+    def _merge_identity(self) -> dict:
+        return {"configuration": self._shared(),
+                "num_replicas": self.num_replicas,
+                "exponential scales": self._inverse_scale}
+
+    def check_mergeable(self, other: "JW18LpSamplerEnsemble") -> None:
+        """Raise unless ``other`` can merge into ``self``; mutate nothing.
+
+        In sketch mode all three substrates are validated too, before any
+        is touched, so a mismatched peer cannot leave a partially merged
+        replica.
+        """
+        super().check_mergeable(other)
+        if not self._exact:
+            self._main.check_mergeable(other._main)
+            self._value.check_mergeable(other._value)
+            self._ams.check_mergeable(other._ams)
+
+    def _ingest(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        """Scale one validated batch for every replica and ingest it
+        everywhere."""
         scaled = deltas * self._inverse_scale[:, indices]
         if self._exact:
             replica_index = np.arange(self.num_replicas)[:, None]
@@ -566,20 +425,6 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         """Forget what the queries derived from the current ingest state."""
         self._estimates_cache = None
         self._candidates = None
-
-    def __getstate__(self):
-        """Pickle without the query caches; they are recomputed from the
-        sketch tables by the next query."""
-        state = self.__dict__.copy()
-        state["_estimates_cache"] = None
-        state["_candidates"] = None
-        return state
-
-    def __setstate__(self, state):
-        """Restore with empty query caches (also for snapshots that kept
-        ``_estimates_cache``)."""
-        self.__dict__.update(state)
-        self._drop_query_caches()
 
     def _scaled_estimates(self) -> np.ndarray:
         """The ``(R, n)`` matrix of per-replica scaled-vector estimates."""
@@ -621,7 +466,8 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         return self._value.estimate_members_at(members, index)
 
     def estimate_value(self, replica: int, index: int) -> float:
-        """Replica's estimate of ``x_index`` (matches the standalone method)."""
+        """Replica's estimate of ``x_index``: its value bank's averaged
+        estimate, unscaled by ``e_index^{1/p}``."""
         check_member_index(replica, self.num_replicas, "replica")
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
@@ -654,13 +500,19 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         return np.asarray(groups) * unscale
 
     def sample_replica(self, replica: int) -> Optional[Sample]:
-        """One-shot draw of replica ``replica`` (mirrors ``sample()``).
-
-        Reads the per-state arrays of :meth:`_candidate_arrays`; the gap
-        test's jitter still comes from the replica's own generator, and the
-        threshold and value arithmetic stay scalar, as in ``sample()``.
-        """
+        """Return replica ``replica``'s perfect ``L_p`` draw, or ``None`` on
+        the ``FAIL`` event."""
         check_member_index(replica, self.num_replicas, "replica")
+        return self._sample(replica)
+
+    def _sample(self, replica: int) -> Optional[Sample]:
+        """The draw of a valid replica; the views call this directly.
+
+        Reads the per-state arrays of :meth:`_candidate_arrays`, which
+        equal the scalar walk ``argsort(-|z|)`` over one replica's
+        estimates; the gap test's jitter comes from the replica's own
+        generator, and the threshold and value arithmetic stay scalar.
+        """
         if self._num_updates == 0:
             return None
         candidates = self._candidate_arrays()

@@ -12,6 +12,11 @@ deficiency the paper's perfect samplers remove.
 The sampler supports ``p in (0, 2]``; for ``p > 2`` the required CountSketch
 width becomes polynomial in ``n`` (the same obstruction discussed in
 Section 2.1 of the paper), so construction refuses larger ``p``.
+
+The sampler is written once, in :class:`PrecisionLpSamplerEnsemble`:
+:class:`PrecisionLpSampler` is a view of a one-replica ensemble (see
+:mod:`repro.utils.ensemble`), and :func:`draw_precision_replica` is the one
+copy of the draw order both use.
 """
 
 from __future__ import annotations
@@ -22,17 +27,41 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.samplers.base import BatchUpdateMixin, Sample, check_batch_bounds, coerce_batch
-from repro.sketch.ams import AMSEnsemble, AMSSketch
-from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
+from repro.samplers.base import Sample
+from repro.sketch.ams import AMSEnsemble
+from repro.sketch.countsketch import CountSketchEnsemble
 from repro.utils.batching import check_member_index
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.ensemble import (
+    ReplicaEnsemble,
+    ReplicaView,
+    register_ensemble,
+    require_replicas,
+)
+from repro.utils.rng import SeedLike, ensure_rng, replica_seed
 from repro.utils.validation import require_in_open_interval, require_moment_order, require_positive_int
 
 
-class PrecisionLpSampler(BatchUpdateMixin):
+def draw_precision_replica(seed: SeedLike, n: int):
+    """What one precision sampler draws at construction, in its order.
+
+    Returns ``(precisions, sketch_seed, ams_seed)``: the ``n`` uniform
+    precisions (a zero, a probability-zero event numerically, is raised to
+    the smallest positive float), then the seeds of the recovery
+    CountSketch and of the AMS sketch.
+    :meth:`PrecisionLpSamplerEnsemble.from_seeds`, and so every
+    :class:`PrecisionLpSampler`, draws through this.
+    """
+    rng = ensure_rng(seed)
+    precisions = rng.random(n)
+    precisions[precisions == 0] = np.finfo(float).tiny
+    return (precisions, int(rng.integers(0, 2**63 - 1)),
+            int(rng.integers(0, 2**63 - 1)))
+
+
+class PrecisionLpSampler(ReplicaView):
     """Approximate (``(1 ± eps)``-relative-error) ``L_p`` sampler, ``p <= 2``.
+
+    A view of a one-replica :class:`PrecisionLpSamplerEnsemble`.
 
     Parameters
     ----------
@@ -49,26 +78,11 @@ class PrecisionLpSampler(BatchUpdateMixin):
 
     def __init__(self, n: int, p: float, epsilon: float = 0.25,
                  seed: SeedLike = None, rows: int = 5) -> None:
-        require_positive_int(n, "n")
-        require_moment_order(p, "p", minimum=0.0, maximum=2.0)
-        require_in_open_interval(epsilon, "epsilon", 0.0, 1.0)
+        self._ensemble = PrecisionLpSamplerEnsemble.from_seeds(
+            n, p, [seed], epsilon=epsilon, rows=rows)
         self._n = n
         self._p = float(p)
         self._epsilon = float(epsilon)
-        rng = ensure_rng(seed)
-        self._rng = rng
-        log_n = max(2.0, math.log2(max(n, 4)))
-        buckets = int(math.ceil(log_n**2 / epsilon ** max(1.0, p)))
-        self._buckets = buckets
-
-        self._precisions = rng.random(n)
-        # Guard against a zero precision (probability zero event numerically).
-        self._precisions[self._precisions == 0] = np.finfo(float).tiny
-        self._inverse_scale = self._precisions ** (-1.0 / self._p)
-
-        self._sketch = CountSketch(n, buckets, rows, int(rng.integers(0, 2**63 - 1)))
-        self._ams = AMSSketch(n, width=12, depth=5, seed=int(rng.integers(0, 2**63 - 1)))
-        self._num_updates = 0
 
     @property
     def p(self) -> float:
@@ -80,57 +94,9 @@ class PrecisionLpSampler(BatchUpdateMixin):
         """Target relative distortion."""
         return self._epsilon
 
-    def space_counters(self) -> int:
-        """Stored counters (CountSketch cells + AMS counters)."""
-        return self._sketch.space_counters() + self._ams.space_counters()
-
-    def update(self, index: int, delta: float) -> None:
-        """Apply the stream update ``(index, delta)``."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        self._sketch.update(index, delta * self._inverse_scale[index])
-        self._ams.update(index, delta)
-        self._num_updates += 1
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply a batch: scaled deltas to the CountSketch, raw to the AMS."""
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
-        scaled = deltas * self._inverse_scale[indices]
-        self._sketch.update_batch(indices, scaled)
-        self._ams.update_batch(indices, deltas)
-        self._num_updates += int(indices.size)
-
     def sample(self) -> Optional[Sample]:
         """Return an approximate ``L_p`` draw, or ``None`` on failure."""
-        if self._num_updates == 0:
-            return None
-        estimates = self._sketch.estimate_all()
-        magnitudes = np.abs(estimates)
-        if not np.any(magnitudes > 0):
-            return None
-        best = int(np.argmax(magnitudes))
-
-        # Acceptance threshold: the recovered scaled maximum should exceed
-        # ||x||_p / eps^{1/p}; we only have an L2-based proxy of the norm,
-        # which is where the (1 +/- eps) distortion of this family of
-        # samplers comes from.
-        l2_estimate = self._ams.estimate_l2()
-        norm_proxy = l2_estimate / max(self._n, 2) ** max(0.0, 1.0 / 2.0 - 1.0 / self._p)
-        threshold = norm_proxy * self._epsilon ** (-1.0 / self._p)
-        if magnitudes[best] < threshold:
-            return None
-        recovered_value = estimates[best] * self._precisions[best] ** (1.0 / self._p)
-        return Sample(
-            index=best,
-            value_estimate=float(recovered_value),
-            metadata={
-                "scaled_maximum": float(magnitudes[best]),
-                "threshold": float(threshold),
-            },
-        )
+        return self._ensemble._sample(0)
 
 
 class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
@@ -141,25 +107,44 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
     lands in all of the recovery CountSketches through one fused scatter
     (raw deltas go to the stacked AMS sketches).  Query math runs per
     replica on identically laid-out slices, so state and samples are
-    bit-identical to driving each instance separately.  The ensemble keeps
-    no instance: ``epsilon`` is the same for every replica and is an
-    ensemble field.  Replicas must be fresh (un-updated) when the ensemble
-    is built.
+    bit-identical however the replicas are stacked.  ``epsilon`` is the
+    same for every replica and is an ensemble field.  Built from
+    :class:`PrecisionLpSampler` views it concatenates their one-replica
+    ensembles; :meth:`from_seeds` draws the replicas directly.
     """
 
-    def __init__(self, instances) -> None:
-        require_fresh(instances, lambda inst: inst._num_updates > 0, "precision")
-        first = instances[0]
-        if any((inst._n, inst._p, inst._epsilon, inst._buckets)
-               != (first._n, first._p, first._epsilon, first._buckets)
-               for inst in instances):
-            raise InvalidParameterError(
-                "ensemble replicas must share (n, p, epsilon, buckets)")
-        self._setup(first._n, first._p, first._epsilon,
-                    np.stack([inst._precisions for inst in instances]),
-                    np.stack([inst._inverse_scale for inst in instances]),
-                    CountSketchEnsemble([inst._sketch for inst in instances]),
-                    AMSEnsemble([inst._ams for inst in instances]))
+    #: The estimate cache: recomputed from the sketch tables by the next query.
+    _DERIVED = ("_estimates_cache",)
+
+    @classmethod
+    def from_seeds(cls, n: int, p: float, seeds, *, epsilon: float = 0.25,
+                   rows: int = 5) -> "PrecisionLpSamplerEnsemble":
+        """The ensemble of ``PrecisionLpSampler(n, p, epsilon, s, rows)``
+        for ``s`` in ``seeds``, each drawn by :func:`draw_precision_replica`."""
+        require_positive_int(n, "n")
+        require_moment_order(p, "p", minimum=0.0, maximum=2.0)
+        require_in_open_interval(epsilon, "epsilon", 0.0, 1.0)
+        require_replicas(seeds)
+        p = float(p)
+        log_n = max(2.0, math.log2(max(n, 4)))
+        buckets = int(math.ceil(log_n**2 / epsilon ** max(1.0, p)))
+        precisions = np.empty((len(seeds), n))
+        inverse_scale = np.empty((len(seeds), n))
+        sketch_seeds, ams_seeds = [], []
+        for replica, seed in enumerate(seeds):
+            drawn, sketch_seed, ams_seed = draw_precision_replica(
+                replica_seed(seed), n)
+            precisions[replica] = drawn
+            # Row by row: the scaling is one sampler's (n,) computation.
+            inverse_scale[replica] = drawn ** (-1.0 / p)
+            sketch_seeds.append(sketch_seed)
+            ams_seeds.append(ams_seed)
+        ensemble = cls.__new__(cls)
+        ensemble._setup(n, p, float(epsilon), precisions, inverse_scale,
+                        CountSketchEnsemble.from_seeds(n, buckets, rows,
+                                                       sketch_seeds),
+                        AMSEnsemble.from_seeds(n, 12, 5, ams_seeds))
+        return ensemble
 
     def _setup(self, n, p, epsilon, precisions, inverse_scale, sketch, ams,
                num_updates: int = 0) -> None:
@@ -179,9 +164,13 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         """Number of replicas ``R``."""
         return self._precisions.shape[0]
 
+    def _has_ingested(self) -> bool:
+        """Whether the replicas have ingested an update."""
+        return self._num_updates > 0
+
     def space_counters(self) -> int:
         """Stored counters across all replicas (CountSketch cells + AMS
-        counters), as the standalone samplers count."""
+        counters)."""
         return self._sketch.space_counters() + self._ams.space_counters()
 
     @classmethod
@@ -193,8 +182,7 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         shares the stream), so the shared update count comes from the first
         shard.
         """
-        if not ensembles:
-            raise InvalidParameterError("need at least one ensemble")
+        require_replicas(ensembles)
         first = ensembles[0]
         if any((e._n, e._p, e._epsilon) != (first._n, first._p, first._epsilon)
                for e in ensembles):
@@ -215,53 +203,46 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
         same-seed shard copies fed disjoint stream shards add into the
         ensemble of the concatenated stream.  In place; returns ``self``.
         """
-        if not isinstance(other, PrecisionLpSamplerEnsemble):
-            raise InvalidParameterError(
-                "can only merge PrecisionLpSamplerEnsemble with its own kind")
-        if ((other._n, other._p, other._epsilon)
-                != (self._n, self._p, self._epsilon)
-                or other.num_replicas != self.num_replicas
-                or not np.array_equal(self._inverse_scale, other._inverse_scale)):
-            raise InvalidParameterError(
-                "can only merge identically seeded, identically configured ensembles")
-        # Validate both substrates before touching either, so a mismatched
-        # peer cannot leave the CountSketch bank merged but the AMS bank not.
-        self._sketch.check_mergeable(other._sketch)
-        self._ams.check_mergeable(other._ams)
+        self.check_mergeable(other)
         self._sketch.merge(other._sketch)
         self._ams.merge(other._ams)
         self._num_updates += other._num_updates
         self._estimates_cache = None
         return self
 
-    def update_batch(self, indices, deltas) -> None:
-        """Scale one batch for every replica and ingest it everywhere."""
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
+    def _merge_identity(self) -> dict:
+        return {"n": self._n, "p": self._p, "epsilon": self._epsilon,
+                "num_replicas": self.num_replicas,
+                "precision scales": self._inverse_scale}
+
+    def check_mergeable(self, other: "PrecisionLpSamplerEnsemble") -> None:
+        """Raise unless ``other`` can merge into ``self``; mutate nothing.
+
+        Both substrates are validated too, before either is touched, so a
+        mismatched peer cannot leave the CountSketch bank merged but the
+        AMS bank not.
+        """
+        super().check_mergeable(other)
+        self._sketch.check_mergeable(other._sketch)
+        self._ams.check_mergeable(other._ams)
+
+    def _ingest(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        """Scale one validated batch for every replica and ingest it
+        everywhere."""
         scaled = deltas * self._inverse_scale[:, indices]
         self._sketch.update_batch(indices, scaled)
         self._ams.update_batch(indices, deltas)
         self._num_updates += int(indices.size)
         self._estimates_cache = None
 
-    def __getstate__(self):
-        """Pickle without the estimate cache; the next query recomputes it
-        from the sketch tables."""
-        state = self.__dict__.copy()
-        state["_estimates_cache"] = None
-        return state
-
-    def __setstate__(self, state):
-        """Restore with an empty estimate cache (also for snapshots that
-        kept it)."""
-        self.__dict__.update(state)
-        self._estimates_cache = None
-
     def sample_replica(self, replica: int) -> Optional[Sample]:
-        """One-shot draw of replica ``replica`` (mirrors ``sample()``)."""
+        """Return replica ``replica``'s approximate ``L_p`` draw, or
+        ``None`` on failure."""
         check_member_index(replica, self.num_replicas, "replica")
+        return self._sample(replica)
+
+    def _sample(self, replica: int) -> Optional[Sample]:
+        """The draw of a valid replica; the views call this directly."""
         if self._num_updates == 0:
             return None
         if self._estimates_cache is None:
@@ -272,6 +253,10 @@ class PrecisionLpSamplerEnsemble(ReplicaEnsemble):
             return None
         best = int(np.argmax(magnitudes))
 
+        # Acceptance threshold: the recovered scaled maximum should exceed
+        # ||x||_p / eps^{1/p}; we only have an L2-based proxy of the norm,
+        # which is where the (1 +/- eps) distortion of this family of
+        # samplers comes from.
         l2_estimate = self._ams.estimate_l2_member(replica)
         norm_proxy = l2_estimate / max(self._n, 2) ** max(0.0, 1.0 / 2.0 - 1.0 / self._p)
         threshold = norm_proxy * self._epsilon ** (-1.0 / self._p)

@@ -20,7 +20,7 @@ exactly the restriction the paper highlights (truly perfect samplers are
 impossible on turnstile streams [JWZ22]) — and neither produces an estimate
 of the sampled value, again matching the remarks in Section 1.1.
 
-Substitution note (see DESIGN.md): [PW25] obtains the exponential race with
+Substitution note: [PW25] obtains the exponential race with
 two machine words *total* by exploiting the Lévy-process structure of ``G``
 in the random-oracle model.  Our simulation tracks the exact per-coordinate
 levels (``O(support)`` auxiliary words) to compute the increment rates, which
@@ -245,9 +245,9 @@ class ExponentialRaceSampler(BatchUpdateMixin):
     def space_counters(self) -> int:
         """Auxiliary level-tracking words plus the two-word race state.
 
-        The level tracker is the simulation substitution documented in
-        DESIGN.md; [PW25] removes it for the Lévy class via random-oracle
-        Lévy-process machinery.
+        The level tracker is this simulation's substitution (see the
+        module docstring); [PW25] removes it for the Lévy class via
+        random-oracle Lévy-process machinery.
         """
         return self.sample_state_words + len(self._levels)
 

@@ -4,18 +4,21 @@
     k-wise independent hash families over ``[0, n)`` and Rademacher sign
     hashes, implemented with random polynomials over a Mersenne prime.
 ``countsketch``
-    The CountSketch heavy-hitter sketch [CCF04], in both the classic
-    one-bucket-per-row form and the random-bucket (Bernoulli ``h_{i,j,k}``)
-    form used by [JW18]; also the averaged multi-instance estimator of
-    Corollary 2.2.
+    The CountSketch heavy-hitter sketch [CCF04] and the averaged
+    multi-instance estimator of Corollary 2.2.
 ``countmin``
     CountMin sketch, used as an auxiliary baseline in examples/ablations.
 ``ams``
     The AMS sketch [AMS99] for unbiased ``F_2`` estimation.
+``pstable``
+    Indyk's ``p``-stable sketch for ``L_p`` norms, ``p in (0, 2]``.
 ``fp_estimator``
-    Unbiased ``F_p`` estimation for ``p > 2`` (Ganguly-style level-set
-    estimator plus a max-stability estimator), Theorem 5.1's role in
-    Algorithms 1, 2, and 5.
+    Unbiased max-stability ``F_p`` estimation for ``p > 2``, Theorem 5.1's
+    role in Algorithms 1, 2, and 5.
+
+Each of the sketches is written once, as a replica ensemble
+(``CountSketchEnsemble``, ...); the single-sketch classes are one-replica
+views of it (see :mod:`repro.utils.ensemble`).
 ``exponential``
     Exponential random variables, max-stability scaling, anti-rank vectors,
     and duplication simulation (Lemmas 1.16-1.19 and Section 3).
@@ -27,7 +30,7 @@
 from repro.sketch.hashing import (KWiseHash, KWiseHashFamily, PairwiseHash,
                                   SignHash, SignHashFamily)
 from repro.sketch.countsketch import (AveragedCountSketch, CountSketch,
-                                      CountSketchEnsemble, RandomBucketCountSketch)
+                                      CountSketchEnsemble)
 from repro.sketch.countmin import CountMin, CountMinEnsemble
 from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.fp_estimator import FpEstimator, FpEstimatorEnsemble, MaxStabilityFpEstimator
@@ -47,7 +50,6 @@ __all__ = [
     "CountSketch",
     "CountSketchEnsemble",
     "AveragedCountSketch",
-    "RandomBucketCountSketch",
     "CountMin",
     "CountMinEnsemble",
     "AMSSketch",

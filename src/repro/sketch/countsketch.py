@@ -1,6 +1,4 @@
-"""CountSketch heavy-hitter sketches [CCF04] and the JW18 variant.
-
-Three flavours are provided:
+"""CountSketch heavy-hitter sketches [CCF04].
 
 :class:`CountSketch`
     The classic table with ``rows`` rows and ``buckets`` buckets per row.
@@ -10,14 +8,13 @@ Three flavours are provided:
     the paper) is an additive error of ``O(||x_tail||_2 / sqrt(buckets))``
     per query with high probability in the number of rows.
 
-:class:`RandomBucketCountSketch`
-    The modification introduced by [JW18] and re-used by Algorithm 4 of the
-    paper: instead of hashing each item to one bucket per row, each
-    (row, bucket, item) triple carries an i.i.d. Bernoulli(1/buckets)
-    indicator ``h_{i,j,k}``, so an item may occupy several buckets of a row
-    or none at all.  The estimate is the median over *all* buckets that
-    contain the item.  This version decouples bucket occupancy from the
-    anti-rank conditioning in the sampler analysis.
+:class:`CountSketchEnsemble`
+    ``M`` such sketches stacked along a leading member axis.  This is where
+    the substrate is written: the scatter kernel, the three table modes,
+    the lazy hash-table build, the queries, the pickling rule and the merge
+    check.  A :class:`CountSketch` is a view of a one-member ensemble (see
+    :mod:`repro.utils.ensemble`), and :func:`draw_countsketch_hashes` is
+    the one copy of the draw order both use.
 
 :class:`AveragedCountSketch`
     ``polylog(n)`` independent CountSketch instances whose point queries are
@@ -32,13 +29,14 @@ be merged by adding tables entrywise.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.sketch.hashing import KWiseHashFamily, SignHashFamily
 from repro.utils.batching import (
     BatchUpdateMixin,
-    aggregate_scatter,
     check_batch_bounds,
     check_member_index,
     coerce_batch,
@@ -48,17 +46,14 @@ from repro.utils.batching import (
 )
 from repro.utils.ensemble import (
     ReplicaEnsemble,
+    ReplicaView,
     member_chunks,
     register_ensemble,
-    require_fresh,
+    require_replicas,
 )
-from repro.utils.rng import SeedLike, ensure_rng, random_seed_array
+from repro.utils.rng import SeedLike, ensure_rng, random_seed_array, replica_seed
 from repro.utils.table_cache import resolve_table_block, resolve_table_mode
-from repro.utils.validation import (
-    require_merge_compatible,
-    require_merge_peer,
-    require_positive_int,
-)
+from repro.utils.validation import require_positive_int
 
 
 def draw_countsketch_hashes(seed: SeedLike, rows: int, buckets: int):
@@ -78,17 +73,17 @@ def averaged_member_seeds(seed: SeedLike, num_instances: int) -> np.ndarray:
     return random_seed_array(ensure_rng(seed), num_instances)
 
 
-class CountSketch(BatchUpdateMixin):
+class CountSketch(ReplicaView):
     """Classic CountSketch over the universe ``[0, n)``.
 
-    Construction draws the hash-family coefficients (two vectorised
-    ``rng.integers`` calls) but defers the O(n * rows) per-coordinate hash
-    tables until the sketch is first touched, so short-lived instances —
-    e.g. the probe instances of oracle-backend benchmarks — pay almost
-    nothing up front.  Many sketches of one shape are cheaper still as a
-    :class:`CountSketchEnsemble`, which holds their hash coefficients and
-    tables stacked and builds every member's hash tables in one
-    concatenated family evaluation.
+    A view of a one-member :class:`CountSketchEnsemble`, built by
+    :meth:`CountSketchEnsemble.from_seeds` from ``seed``: construction
+    draws the hash-family coefficients (two vectorised ``rng.integers``
+    calls) but defers the O(n * rows) per-coordinate hash tables until the
+    sketch is first touched, so short-lived instances pay almost nothing up
+    front.  Many sketches of one shape are cheaper still as one
+    :class:`CountSketchEnsemble`, whose member ``r`` is bitwise the sketch
+    with the ensemble's ``r``-th seed.
 
     Parameters
     ----------
@@ -117,82 +112,17 @@ class CountSketch(BatchUpdateMixin):
     def __init__(self, n: int, buckets: int, rows: int, seed: SeedLike = None,
                  table_mode: str | None = None,
                  table_block: int | None = None) -> None:
-        require_positive_int(n, "n")
-        require_positive_int(buckets, "buckets")
-        require_positive_int(rows, "rows")
+        self._ensemble = CountSketchEnsemble.from_seeds(
+            n, buckets, rows, [seed], table_mode=table_mode,
+            table_block=table_block)
         self._n = n
         self._buckets = buckets
         self._rows = rows
-        self._table_mode = resolve_table_mode(table_mode)
-        self._table_block = resolve_table_block(table_block)
-        self._bucket_family, self._sign_family = draw_countsketch_hashes(
-            seed, rows, buckets)
-        self._bucket_of: np.ndarray | None = None
-        self._sign_of: np.ndarray | None = None
-        self._table = np.zeros((rows, buckets), dtype=float)
-
-    def _ensure_tables(self) -> None:
-        """Materialise the per-coordinate hash tables on first use (lazy).
-
-        ``cached`` mode fetches read-only shared tables from the keyed
-        cache; ``private`` evaluates per-instance copies.  ``blocked`` mode
-        never reaches here — its consumers evaluate columns on demand via
-        :meth:`_columns`.
-        """
-        if self._bucket_of is None:
-            if self._table_mode == "cached":
-                self._bucket_of = self._bucket_family.hash_table(self._n)
-                self._sign_of = self._sign_family.sign_table(self._n)
-            else:
-                all_indices = np.arange(self._n, dtype=np.int64)
-                self._bucket_of = self._bucket_family.hash_all(all_indices)
-                self._sign_of = self._sign_family.sign_all(all_indices)
-
-    def _columns(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, B)`` narrow bucket and int8 sign columns at the given keys.
-
-        The gather is ``np.take(..., axis=-1)``, which returns the columns
-        C-contiguous (``table[:, indices]`` returns them F-ordered), so the
-        kernels' ``ravel`` makes no hidden copy.  ``blocked`` mode
-        evaluates them directly — bit-identical to gathering from the
-        materialised table because every ``(member, key)`` cell of the
-        Horner sweep is independent.
-        """
-        if self._table_mode == "blocked":
-            return (self._bucket_family.hash_all(indices),
-                    self._sign_family.sign_all(indices))
-        self._ensure_tables()
-        return (np.take(self._bucket_of, indices, axis=-1),
-                np.take(self._sign_of, indices, axis=-1))
-
-    def __getstate__(self):
-        """Pickle without the per-coordinate tables.
-
-        The tables are re-derived lazily (from the cache in ``cached``
-        mode), so multiprocessing shard payloads stay independent of both
-        stream length and table size.
-        """
-        state = self.__dict__.copy()
-        state["_bucket_of"] = None
-        state["_sign_of"] = None
-        return state
-
-    def __setstate__(self, state):
-        """Restore, forcing the tables to re-derive in this process.
-
-        Defensive against snapshots written by builds whose
-        ``__getstate__`` kept the tables: nulling here guarantees an
-        unpickled sketch always rebuilds from its hash families (and the
-        process-local cache), bit-identically to a freshly built one.
-        """
-        state["_bucket_of"] = None
-        state["_sign_of"] = None
-        self.__dict__.update(state)
 
     @property
     def table_mode(self) -> str:
         """The table-materialisation mode latched at construction."""
-        return self._table_mode
+        return self._ensemble.table_mode
 
     @property
     def n(self) -> int:
@@ -204,163 +134,167 @@ class CountSketch(BatchUpdateMixin):
         """``(rows, buckets)`` of the sketch table."""
         return (self._rows, self._buckets)
 
-    def space_counters(self) -> int:
-        """Number of stored counters (table cells); hash seeds excluded."""
-        return self._rows * self._buckets
-
-    def update(self, index: int, delta: float) -> None:
-        """Apply the stream update ``(index, delta)``."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        buckets, signs = self._columns(np.asarray([index], dtype=np.int64))
-        rows = np.arange(self._rows)
-        # float(): int8 signs times a Python int delta would stay int8 and
-        # overflow (NEP 50).
-        self._table[rows, buckets[:, 0]] += signs[:, 0] * float(delta)
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply a whole batch of updates with one fused scatter-add.
-
-        Large batches go through ``np.bincount`` (several times faster than
-        ``np.add.at``); tiny batches keep the element-wise scatter, which
-        avoids touching the whole table.  The branch condition depends only
-        on the batch length, and per-cell accumulation follows batch order
-        in both, so :class:`CountSketchEnsemble` — which uses the same rule
-        — stays bit-identical to this path.  Relative to *scalar* ``update``
-        replay, the bincount branch sums each batch's contributions before
-        adding them to the table, a legal re-association within the batch
-        engine's documented ``rtol=1e-9`` float contract (the same class of
-        re-association the AMS and p-stable batch paths perform).
-        """
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
-        buckets, signs = self._columns(indices)
-        if indices.size >= self._buckets:
-            flat = buckets + (np.arange(self._rows, dtype=np.int64)[:, None]
-                              * self._buckets)
-            values = signs * deltas
-            counts = np.bincount(flat.ravel(), weights=values.ravel(),
-                                 minlength=self._rows * self._buckets)
-            self._table += counts.reshape(self._rows, self._buckets)
-            return
-        for row in range(self._rows):
-            signed = deltas * signs[row]
-            np.add.at(self._table[row], buckets[row], signed)
-
     def update_vector(self, vector: np.ndarray) -> None:
         """Add an entire frequency vector to the sketch in one shot."""
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self._n,):
-            raise InvalidParameterError("vector shape must match the universe size")
-        if self._table_mode == "blocked":
-            # Key-block splitting keeps each table cell's accumulation
-            # sequence in ascending key order — the same per-cell order as
-            # the monolithic ``np.add.at`` — so this is bitwise equal.
-            for start, stop, buckets in self._bucket_family.hash_blocks(
-                    self._n, self._table_block):
-                signs = self._sign_family.sign_all(
-                    np.arange(start, stop, dtype=np.int64))
-                segment = vector[start:stop]
-                for row in range(self._rows):
-                    np.add.at(self._table[row], buckets[row],
-                              segment * signs[row])
-            return
-        self._ensure_tables()
-        for row in range(self._rows):
-            signed = vector * self._sign_of[row]
-            np.add.at(self._table[row], self._bucket_of[row], signed)
+        self._ensemble.update_vector(vector)
 
     def estimate(self, index: int) -> float:
         """Point query: the median-of-rows estimate of coordinate ``index``."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        buckets, signs = self._columns(np.asarray([index], dtype=np.int64))
-        rows = np.arange(self._rows)
-        values = signs[:, 0] * self._table[rows, buckets[:, 0]]
-        return float(np.median(values))
+        return self._ensemble.estimate_member(0, index)
 
     def estimate_all(self) -> np.ndarray:
         """Vector of point-query estimates for every coordinate."""
-        if self._table_mode == "blocked":
-            # The median is taken per coordinate (column-wise), so a
-            # key-block sweep reproduces the monolithic result bitwise.
-            out = np.empty(self._n, dtype=float)
-            rows = np.arange(self._rows)[:, None]
-            for start, stop, buckets in self._bucket_family.hash_blocks(
-                    self._n, self._table_block):
-                signs = self._sign_family.sign_all(
-                    np.arange(start, stop, dtype=np.int64))
-                values = signs * self._table[rows, buckets]
-                out[start:stop] = np.median(values, axis=0)
-            return out
-        self._ensure_tables()
-        rows = np.arange(self._rows)[:, None]
-        values = self._sign_of * self._table[rows, self._bucket_of]
-        return np.median(values, axis=0)
+        return self._ensemble.estimate_all_member(0)
 
     def heavy_hitters(self, threshold: float) -> np.ndarray:
         """Indices whose estimated magnitude is at least ``threshold``."""
         estimates = self.estimate_all()
         return np.flatnonzero(np.abs(estimates) >= threshold)
 
-    def check_mergeable(self, other: "CountSketch") -> None:
-        """Raise unless ``other`` can merge into ``self``; mutate nothing."""
-        require_merge_peer(self, other)
-        require_merge_compatible(
-            "CountSketch",
-            {"n": self._n, "shape": self.shape,
-             "bucket hash coefficients": self._bucket_family.coefficients,
-             "sign hash coefficients": self._sign_family.coefficients},
-            {"n": other._n, "shape": other.shape,
-             "bucket hash coefficients": other._bucket_family.coefficients,
-             "sign hash coefficients": other._sign_family.coefficients})
-
     def merge(self, other: "CountSketch") -> None:
         """Merge another sketch built with the same seed/shape (linearity)."""
         self.check_mergeable(other)
-        self._table += other._table
+        self._ensemble.merge(other._ensemble)
 
     def l2_error_bound(self, l2_norm: float, confidence_factor: float = 3.0) -> float:
         """The standard per-query error scale ``confidence * ||x||_2 / sqrt(buckets)``."""
         return confidence_factor * l2_norm / np.sqrt(self._buckets)
 
 
-class CountSketchEnsemble(ReplicaEnsemble):
+class BucketTableEnsemble(ReplicaEnsemble):
+    """``M`` sketches whose members hash each coordinate to one bucket per
+    row of an ``(M, rows, buckets)`` table: the layout
+    :class:`CountSketchEnsemble` and
+    :class:`~repro.sketch.countmin.CountMinEnsemble` share.
+
+    Subclasses set ``_n``, ``_rows``, ``_buckets``, ``_table_mode``,
+    ``_table_block``, ``_bucket_family``, ``_bucket_of`` and ``_table``.
+    """
+
+    _DERIVED = ("_bucket_of",)
+    #: The hash-family fields, concatenated by :meth:`concat`.
+    _FAMILIES = ("_bucket_family",)
+
+    def _has_ingested(self) -> bool:
+        """Whether any member table holds a non-zero counter."""
+        return bool(self._table.any())
+
+    def _shared(self) -> tuple:
+        """What every member shares: universe, shape and table mode."""
+        return (self._n, self._rows, self._buckets, self._table_mode)
+
+    @classmethod
+    def concat(cls, ensembles: "list[BucketTableEnsemble]") -> "BucketTableEnsemble":
+        """Flatten several same-shape ensembles into one (no recompute).
+
+        Used by composite replica ensembles to merge the per-replica inner
+        ensembles (value banks, max-stability repetitions) into a single
+        stacked structure; hash families and member tables are concatenated
+        as-is (existing counter state is preserved), and unbuilt hash
+        tables stay unbuilt so the merged ensemble evaluates them in one
+        family pass on first touch.
+        """
+        require_replicas(ensembles)
+        first = ensembles[0]
+        if any(e._shared() != first._shared() for e in ensembles):
+            raise InvalidParameterError(
+                "ensembles must share n, shape, table mode and query")
+        merged = copy.copy(first)
+        for name in cls._FAMILIES:
+            families = [getattr(e, name) for e in ensembles]
+            setattr(merged, name, type(families[0]).concatenate(families))
+        if any(e._has_ingested() for e in ensembles):
+            merged._table = np.concatenate([e._table for e in ensembles])
+        else:
+            # Fresh ensembles: allocate the merged zero table directly
+            # instead of concatenating hundreds of small zero arrays.
+            merged._table = np.zeros(
+                (merged._bucket_family.size // first._rows, first._rows,
+                 first._buckets), dtype=float)
+        built = any(e._bucket_of is not None for e in ensembles)
+        for ensemble in ensembles if built else ():
+            ensemble._ensure_tables()
+        for name in cls._DERIVED:
+            setattr(merged, name, np.concatenate(
+                [getattr(e, name) for e in ensembles]) if built else None)
+        return merged
+
+    @property
+    def table_mode(self) -> str:
+        """The table-materialisation mode shared by every member."""
+        return self._table_mode
+
+    @property
+    def num_members(self) -> int:
+        """Total number of member sketches ``M``."""
+        return self._table.shape[0]
+
+    @property
+    def num_replicas(self) -> int:
+        """Number of replicas: one per member sketch."""
+        return self.num_members
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """``(rows, buckets)`` of every member table."""
+        return (self._rows, self._buckets)
+
+    def space_counters(self) -> int:
+        """Total stored counters across all members."""
+        return int(np.prod(self._table.shape))
+
+    def _universe_table(self, cached, evaluate) -> np.ndarray:
+        """A family's ``(M, rows, n)`` table over the whole universe:
+        ``cached(n)`` through the keyed table cache in ``cached`` mode, a
+        private ``evaluate(keys)`` otherwise."""
+        table = (cached(self._n) if self._table_mode == "cached"
+                 else evaluate(np.arange(self._n, dtype=np.int64)))
+        return table.reshape(-1, self._rows, self._n)
+
+    def _slice_table(self, evaluate, start: int, stop: int,
+                     indices: np.ndarray) -> np.ndarray:
+        """Members ``[start, stop)`` of a family at ``indices``, evaluated
+        directly as ``(stop - start, rows, B)`` (``blocked`` mode)."""
+        return evaluate(start * self._rows, stop * self._rows,
+                        indices).reshape(stop - start, self._rows, indices.size)
+
+    def merge(self, other: "BucketTableEnsemble") -> "BucketTableEnsemble":
+        """Entrywise-add a same-hash ensemble built over a disjoint sub-stream.
+
+        The tables are linear in the stream, so member ``m`` of ``other``
+        must share member ``m``'s hash functions, which is exactly the
+        situation of stream sharding — every shard holds a copy of the
+        ensemble built from the same seeds and ingests its own sub-stream;
+        the coordinator adds the stacked tables.  In place; returns
+        ``self``.
+        """
+        self.check_mergeable(other)
+        np.add(self._table, other._table, out=self._table)
+        return self
+
+
+class CountSketchEnsemble(BucketTableEnsemble):
     """``M`` independent CountSketch members as one stacked-array structure.
 
     The members' hash tables are built with a single concatenated
     family evaluation over the universe (shape ``(M, rows, n)``) and all
     member tables live in one ``(M, rows, buckets)`` array, so a batch of
     stream updates lands in every member with one scatter-add.  Per-cell
-    accumulation order matches the standalone per-row scatter exactly, so
-    member state is bit-identical to driving each sketch separately.
+    accumulation order is the single sketch's per-row scatter order, so
+    member state is bit-identical however the members are stacked.
 
     ``update_batch`` accepts deltas of shape ``(B,)`` (shared by every
     member), ``(M, B)`` (per member), or ``(G, B)`` with ``M = G * F``
     (per *replica* of a composite ensemble whose replicas own ``F``
     members each, e.g. the value-estimation banks of the JW18 sampler).
 
-    The ensemble keeps no :class:`CountSketch`: built from instances, it
-    takes their hash coefficients and refuses any whose table is not
-    zero; :meth:`from_seeds` builds it without building any.
+    Built from :class:`CountSketch` views it concatenates their one-member
+    ensembles (see :class:`~repro.utils.ensemble.ReplicaEnsemble`);
+    :meth:`from_seeds` draws the members directly.
     """
 
-    def __init__(self, instances) -> None:
-        require_fresh(instances, lambda inst: inst._table.any(), "CountSketch")
-        first = instances[0]
-        if any(inst.shape != first.shape or inst._n != first._n
-               for inst in instances):
-            raise InvalidParameterError("ensemble members must share (n, buckets, rows)")
-        if any(inst._table_mode != first._table_mode for inst in instances):
-            raise InvalidParameterError("ensemble members must share table_mode")
-        self._setup(first._n, first._rows, first._buckets, first._table_mode,
-                    first._table_block,
-                    KWiseHashFamily.concatenate(
-                        [inst._bucket_family for inst in instances]),
-                    SignHashFamily.concatenate(
-                        [inst._sign_family for inst in instances]))
+    _DERIVED = ("_bucket_of", "_sign_of")
+    _FAMILIES = ("_bucket_family", "_sign_family")
 
     @classmethod
     def from_seeds(cls, n: int, buckets: int, rows: int, seeds,
@@ -370,20 +304,19 @@ class CountSketchEnsemble(ReplicaEnsemble):
         ``s`` in ``seeds``, without building those sketches.
 
         Each member's families come from :func:`draw_countsketch_hashes`,
-        the draw the standalone constructor makes, so the result is
-        bitwise the ensemble :func:`~repro.utils.ensemble.build_ensemble`
-        returns for the standalone instances.
+        the one copy of the draw order, so member ``r`` is bitwise the
+        sketch ``CountSketch(n, buckets, rows, seeds[r], ...)``.
         """
         require_positive_int(n, "n")
         require_positive_int(buckets, "buckets")
         require_positive_int(rows, "rows")
-        if len(seeds) == 0:
-            raise InvalidParameterError("an ensemble needs at least one replica")
-        drawn = [draw_countsketch_hashes(int(seed), rows, buckets)
+        require_replicas(seeds)
+        table_mode = resolve_table_mode(table_mode)
+        table_block = resolve_table_block(table_block)
+        drawn = [draw_countsketch_hashes(replica_seed(seed), rows, buckets)
                  for seed in seeds]
         ensemble = cls.__new__(cls)
-        ensemble._setup(n, rows, buckets, resolve_table_mode(table_mode),
-                        resolve_table_block(table_block),
+        ensemble._setup(n, rows, buckets, table_mode, table_block,
                         KWiseHashFamily.concatenate([b for b, _ in drawn]),
                         SignHashFamily.concatenate([s for _, s in drawn]))
         return ensemble
@@ -414,18 +347,10 @@ class CountSketchEnsemble(ReplicaEnsemble):
     def _ensure_tables(self) -> None:
         """Build the stacked per-coordinate hash tables on first use."""
         if self._bucket_of is None:
-            members = self.num_members
-            if self._table_mode == "cached":
-                self._bucket_of = self._bucket_family.hash_table(
-                    self._n).reshape(members, self._rows, self._n)
-                self._sign_of = self._sign_family.sign_table(
-                    self._n).reshape(members, self._rows, self._n)
-            else:
-                all_indices = np.arange(self._n, dtype=np.int64)
-                self._bucket_of = self._bucket_family.hash_all(
-                    all_indices).reshape(members, self._rows, self._n)
-                self._sign_of = self._sign_family.sign_all(
-                    all_indices).reshape(members, self._rows, self._n)
+            self._bucket_of = self._universe_table(
+                self._bucket_family.hash_table, self._bucket_family.hash_all)
+            self._sign_of = self._universe_table(
+                self._sign_family.sign_table, self._sign_family.sign_all)
 
     def _member_columns(self, start: int, stop: int, indices: np.ndarray):
         """``(stop - start, rows, B)`` bucket/sign values of a member chunk.
@@ -441,124 +366,19 @@ class CountSketchEnsemble(ReplicaEnsemble):
         bitwise-equal either way.
         """
         if self._table_mode == "blocked":
-            chunk = stop - start
-            lo, hi = start * self._rows, stop * self._rows
-            buckets = self._bucket_family.hash_slice(lo, hi, indices).reshape(
-                chunk, self._rows, indices.size)
-            signs = self._sign_family.sign_slice(lo, hi, indices).reshape(
-                chunk, self._rows, indices.size)
-            return buckets, signs
+            return (self._slice_table(self._bucket_family.hash_slice,
+                                      start, stop, indices),
+                    self._slice_table(self._sign_family.sign_slice,
+                                      start, stop, indices))
         self._ensure_tables()
         return (np.take(self._bucket_of[start:stop], indices, axis=-1),
                 np.take(self._sign_of[start:stop], indices, axis=-1))
 
-    def __getstate__(self):
-        """Pickle without the stacked tables (re-derived lazily from the
-        cache), keeping multiprocessing shard payloads table-independent."""
-        state = self.__dict__.copy()
-        state["_bucket_of"] = None
-        state["_sign_of"] = None
-        return state
-
-    def __setstate__(self, state):
-        """Restore, forcing the stacked tables to re-derive (see
-        :meth:`CountSketch.__setstate__`)."""
-        state["_bucket_of"] = None
-        state["_sign_of"] = None
-        self.__dict__.update(state)
-
-    @property
-    def table_mode(self) -> str:
-        """The table-materialisation mode shared by every member."""
-        return self._table_mode
-
-    @classmethod
-    def concat(cls, ensembles: "list[CountSketchEnsemble]") -> "CountSketchEnsemble":
-        """Flatten several same-shape ensembles into one (no recompute).
-
-        Used by composite replica ensembles to merge the per-replica inner
-        ensembles (value banks, max-stability repetitions) into a single
-        stacked structure; hash families and member tables are concatenated
-        as-is (existing counter state is preserved), and unbuilt hash
-        tables stay unbuilt so the merged ensemble evaluates them in one
-        family pass on first touch.
-        """
-        if not ensembles:
-            raise InvalidParameterError("need at least one ensemble")
-        first = ensembles[0]
-        if any(e.shape != first.shape or e._n != first._n for e in ensembles):
-            raise InvalidParameterError("ensembles must share (n, buckets, rows)")
-        if any(e._table_mode != first._table_mode for e in ensembles):
-            raise InvalidParameterError("ensembles must share table_mode")
-        if all(not e._table.any() for e in ensembles):
-            # Fresh ensembles: allocate the merged zero table directly
-            # instead of concatenating hundreds of small zero arrays.
-            table = None
-        else:
-            table = np.concatenate([e._table for e in ensembles])
-        merged = cls.__new__(cls)
-        merged._setup(first._n, first._rows, first._buckets,
-                      first._table_mode, first._table_block,
-                      KWiseHashFamily.concatenate(
-                          [e._bucket_family for e in ensembles]),
-                      SignHashFamily.concatenate(
-                          [e._sign_family for e in ensembles]),
-                      table)
-        if any(e._bucket_of is not None for e in ensembles):
-            for ensemble in ensembles:
-                ensemble._ensure_tables()
-            merged._bucket_of = np.concatenate(
-                [e._bucket_of for e in ensembles])
-            merged._sign_of = np.concatenate(
-                [e._sign_of for e in ensembles])
-        return merged
-
-    def merge(self, other: "CountSketchEnsemble") -> "CountSketchEnsemble":
-        """Entrywise-add a same-hash ensemble built over a disjoint sub-stream.
-
-        The ensemble analogue of :meth:`CountSketch.merge` (linearity):
-        member ``m`` of ``other`` must share member ``m``'s hash functions,
-        which is exactly the situation of stream sharding — every shard
-        holds a copy of the ensemble built from the same seeds and ingests
-        its own sub-stream; the coordinator adds the stacked tables.  In
-        place; returns ``self``.
-        """
-        self.check_mergeable(other)
-        np.add(self._table, other._table, out=self._table)
-        return self
-
-    def check_mergeable(self, other: "CountSketchEnsemble") -> None:
-        """Raise unless ``other`` can merge into ``self``; mutate nothing."""
-        require_merge_peer(self, other)
-        require_merge_compatible(
-            "CountSketch ensembles",
-            {"n": self._n, "shape": self.shape,
-             "num_members": self.num_members,
-             "bucket hash coefficients": self._bucket_family.coefficients,
-             "sign hash coefficients": self._sign_family.coefficients},
-            {"n": other._n, "shape": other.shape,
-             "num_members": other.num_members,
-             "bucket hash coefficients": other._bucket_family.coefficients,
-             "sign hash coefficients": other._sign_family.coefficients})
-
-    @property
-    def num_members(self) -> int:
-        """Total number of member sketches ``M``."""
-        return self._table.shape[0]
-
-    @property
-    def num_replicas(self) -> int:
-        """Number of replicas: one per member sketch."""
-        return self.num_members
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """``(rows, buckets)`` of every member table."""
-        return (self._rows, self._buckets)
-
-    def space_counters(self) -> int:
-        """Total stored counters across all members."""
-        return int(np.prod(self._table.shape))
+    def _merge_identity(self) -> dict:
+        return {"n": self._n, "shape": self.shape,
+                "num_members": self.num_members,
+                "bucket hash coefficients": self._bucket_family.coefficients,
+                "sign hash coefficients": self._sign_family.coefficients}
 
     def _coerce_deltas(self, deltas, batch: int) -> np.ndarray:
         """Normalise deltas to ``(G, B)`` with ``M`` divisible by ``G``."""
@@ -578,20 +398,36 @@ class CountSketchEnsemble(ReplicaEnsemble):
 
     def update_batch(self, indices, deltas) -> None:
         """Apply one batch to every member with chunked fused scatter-adds."""
-        raw_deltas = deltas
         indices = coerce_indices(indices)
         if indices.ndim != 1:
             raise InvalidParameterError("ensemble indices must be 1-D")
         if indices.size == 0:
             return
         check_batch_bounds(indices, self._n)
-        deltas = self._coerce_deltas(raw_deltas, indices.size)
+        self._ingest(indices, self._coerce_deltas(deltas, indices.size))
+
+    def _ingest(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        """Scatter a validated batch into every member table.
+
+        ``deltas`` is ``(B,)`` or ``(G, B)`` (see :meth:`_coerce_deltas`).
+        Large batches (at least ``buckets`` updates) go through one flat
+        weighted ``np.bincount`` per member chunk, several times faster
+        than ``np.add.at``; smaller ones keep the element-wise scatter,
+        which avoids touching the whole table.  The branch depends only on
+        the batch length, and each cell accumulates the batch's updates in
+        batch order either way, so every member is bitwise the single
+        sketch fed the same batches.  Relative to one-update-at-a-time
+        replay, the bincount branch sums each batch's contributions before
+        adding them to the table, a legal re-association within the batch
+        engine's documented ``rtol=1e-9`` float contract (the same class of
+        re-association the AMS and p-stable batch paths perform).
+        """
+        if deltas.ndim == 1:
+            deltas = deltas[None, :]
         groups = deltas.shape[0]
         per_group = self.num_members // groups
         batch = indices.size
         row_index = np.arange(self._rows)[None, :, None]
-        # Same large-batch rule as the standalone sketch so per-cell
-        # accumulation matches it bit-for-bit.
         use_bincount = batch >= self._buckets
         cells_per_member = self._rows * self._buckets
         # Chunk along whole replica groups so the per-group delta rows
@@ -665,7 +501,8 @@ class CountSketchEnsemble(ReplicaEnsemble):
                       values)
 
     def estimate_member(self, member: int, index: int) -> float:
-        """Point query of one member (matches ``CountSketch.estimate``)."""
+        """Point query: member ``member``'s median-of-rows estimate of
+        coordinate ``index``."""
         return float(self.estimate_at(np.asarray([member]), index)[0])
 
     def estimate_members_at(self, members: slice | np.ndarray,
@@ -703,8 +540,9 @@ class CountSketchEnsemble(ReplicaEnsemble):
         """Median over rows (axis 1) of ``sign * table[cell, bucket]``.
 
         ``cells`` numbers ``(member, row)`` pairs as ``member * rows + row``,
-        so one flat ``take`` reads every counter; the product is the one
-        ``CountSketch.estimate_all`` forms, so the median matches it.
+        so one flat ``take`` reads every counter.  The median is
+        :func:`~repro.utils.batching.median_of_rows`, which equals
+        ``np.median`` over the rows.
         """
         values = self._table.reshape(-1).take(
             cells * self._buckets + buckets)
@@ -712,13 +550,21 @@ class CountSketchEnsemble(ReplicaEnsemble):
         return median_of_rows(values, axis=1)
 
     def _estimate_all_range(self, start: int, stop: int) -> np.ndarray:
-        """``(stop - start, n)`` estimates of members ``[start, stop)``."""
+        """``(stop - start, n)`` estimates of members ``[start, stop)``.
+
+        The median is taken per coordinate, so any sweep over key blocks
+        gives the same bits.  ``blocked`` mode evaluates one ``table_block``
+        of hashes at a time; the materialised modes read member and key
+        blocks of at most :data:`~repro.utils.ensemble.SCATTER_CHUNK_ELEMENTS`
+        counters, whose temporaries malloc reuses.  (One whole-table gather
+        at ``n = 10^5`` faulted in 8 MB afresh per call: 60 % of its 6 ms on
+        a 2-core Xeon VM.)
+        """
+        count = stop - start
         cells = (np.arange(start, stop)[:, None] * self._rows
                  + np.arange(self._rows))[:, :, None]
+        out = np.empty((count, self._n), dtype=float)
         if self._table_mode == "blocked":
-            # The median is taken per coordinate, so a key-block sweep
-            # reproduces the monolithic result bitwise.
-            out = np.empty((stop - start, self._n), dtype=float)
             for kstart in range(0, self._n, self._table_block):
                 kstop = min(self._n, kstart + self._table_block)
                 keys = np.arange(kstart, kstop, dtype=np.int64)
@@ -726,11 +572,19 @@ class CountSketchEnsemble(ReplicaEnsemble):
                 out[:, kstart:kstop] = self._signed_median(cells, buckets, signs)
             return out
         self._ensure_tables()
-        return self._signed_median(cells, self._bucket_of[start:stop],
-                                   self._sign_of[start:stop])
+        for mstart, mstop in member_chunks(count, self._rows * self._n):
+            members = slice(start + mstart, start + mstop)
+            # member_chunks splits any range; here it splits the keys.
+            for kstart, kstop in member_chunks(self._n,
+                                               (mstop - mstart) * self._rows):
+                out[mstart:mstop, kstart:kstop] = self._signed_median(
+                    cells[mstart:mstop],
+                    self._bucket_of[members, :, kstart:kstop],
+                    self._sign_of[members, :, kstart:kstop])
+        return out
 
     def estimate_all_member(self, member: int) -> np.ndarray:
-        """``estimate_all`` of one member (bit-identical to standalone)."""
+        """Point-query estimates of one member for every coordinate."""
         check_member_index(member, self.num_members)
         return self._estimate_all_range(member, member + 1)[0]
 
@@ -741,10 +595,6 @@ class CountSketchEnsemble(ReplicaEnsemble):
     def member_tables(self) -> np.ndarray:
         """The stacked ``(M, rows, buckets)`` tables."""
         return self._table
-
-    def sample_replica(self, replica: int):
-        """CountSketch has no ``sample``; ensembles of it are query-only."""
-        raise NotImplementedError("CountSketchEnsemble is query-only")
 
 
 register_ensemble(CountSketch, CountSketchEnsemble)
@@ -821,133 +671,3 @@ class AveragedCountSketch(BatchUpdateMixin):
             raise InvalidParameterError("group_size exceeds the number of instances")
         trimmed = estimates[: num_groups * group_size]
         return trimmed.reshape(num_groups, group_size).mean(axis=1)
-
-
-class RandomBucketCountSketch(BatchUpdateMixin):
-    """CountSketch with Bernoulli bucket membership (the [JW18] variant).
-
-    Every (row, bucket, item) triple holds an independent indicator that is
-    one with probability ``1/buckets``; the signed contributions of an item
-    go to every bucket whose indicator fired, and the point query is the
-    median over those buckets.  Membership is realised lazily per item from
-    a seeded generator so the memory cost stays ``O(rows * buckets)``.
-    """
-
-    def __init__(self, n: int, buckets: int, rows: int, seed: SeedLike = None) -> None:
-        require_positive_int(n, "n")
-        require_positive_int(buckets, "buckets")
-        require_positive_int(rows, "rows")
-        self._n = n
-        self._buckets = buckets
-        self._rows = rows
-        rng = ensure_rng(seed)
-        self._membership_seed = int(rng.integers(0, 2**63 - 1))
-        self._sign_seed = int(rng.integers(0, 2**63 - 1))
-        self._table = np.zeros((rows, buckets), dtype=float)
-        self._membership_cache: dict[int, list[np.ndarray]] = {}
-        self._sign_cache: dict[int, np.ndarray] = {}
-        # Flattened (rows, buckets, signed-coefficients) triples per item:
-        # the scatter pattern an update of that item applies to the table.
-        self._flat_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """``(rows, buckets)`` of the sketch table."""
-        return (self._rows, self._buckets)
-
-    def space_counters(self) -> int:
-        """Number of stored counters (table cells)."""
-        return self._rows * self._buckets
-
-    def _membership(self, index: int) -> list[np.ndarray]:
-        """Buckets of each row containing ``index`` (lazily drawn, cached)."""
-        cached = self._membership_cache.get(index)
-        if cached is not None:
-            return cached
-        rng = np.random.default_rng((self._membership_seed, index))
-        membership = [
-            np.flatnonzero(rng.random(self._buckets) < 1.0 / self._buckets)
-            for _ in range(self._rows)
-        ]
-        self._membership_cache[index] = membership
-        return membership
-
-    def _sign(self, index: int) -> np.ndarray:
-        """Per-row Rademacher signs of ``index`` (lazily drawn, cached)."""
-        cached = self._sign_cache.get(index)
-        if cached is not None:
-            return cached
-        rng = np.random.default_rng((self._sign_seed, index))
-        signs = rng.choice(np.asarray([-1.0, 1.0]), size=self._rows)
-        self._sign_cache[index] = signs
-        return signs
-
-    # Cap on cached flat scatter patterns: the cache is a pure
-    # recomputation shortcut on top of the membership/sign oracles, so
-    # bounding it keeps heavy-churn ingest from doubling the per-touched-
-    # coordinate memory the underlying caches already hold.
-    _FLAT_CACHE_LIMIT = 1 << 16
-
-    def _flat_scatter(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The item's scatter pattern as flat (rows, buckets, signed) arrays."""
-        cached = self._flat_cache.get(index)
-        if cached is not None:
-            return cached
-        membership = self._membership(index)
-        signs = self._sign(index)
-        row_ids = [np.full(buckets.size, row, dtype=np.int64)
-                   for row, buckets in enumerate(membership)]
-        signed = [np.full(buckets.size, signs[row])
-                  for row, buckets in enumerate(membership)]
-        if membership and any(buckets.size for buckets in membership):
-            flat = (np.concatenate(row_ids), np.concatenate(membership),
-                    np.concatenate(signed))
-        else:
-            empty_int = np.asarray([], dtype=np.int64)
-            flat = (empty_int, empty_int, np.asarray([], dtype=float))
-        if len(self._flat_cache) >= self._FLAT_CACHE_LIMIT:
-            self._flat_cache.clear()
-        self._flat_cache[index] = flat
-        return flat
-
-    def update(self, index: int, delta: float) -> None:
-        """Apply the stream update ``(index, delta)``."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        rows, buckets, signed = self._flat_scatter(index)
-        if rows.size:
-            self._table[rows, buckets] += signed * delta
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply a batch of updates with one scatter-add over the table.
-
-        Repeated indices within the batch are aggregated first (the sketch
-        is linear), so the numpy work per batch is a single ``np.add.at``
-        plus one cached membership lookup per *distinct* item — the
-        Bernoulli membership oracle is inherently per-item randomness.
-        """
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
-        scatter = aggregate_scatter(indices, deltas, self._flat_scatter)
-        if scatter is not None:
-            rows, buckets, values = scatter
-            np.add.at(self._table, (rows, buckets), values)
-
-    def estimate(self, index: int) -> float:
-        """Median estimate over every bucket containing ``index``."""
-        membership = self._membership(index)
-        signs = self._sign(index)
-        values: list[float] = []
-        for row in range(self._rows):
-            buckets = membership[row]
-            if buckets.size:
-                values.extend(signs[row] * self._table[row, buckets])
-        if not values:
-            return 0.0
-        return float(np.median(values))
-
-    def estimate_all(self) -> np.ndarray:
-        """Point-query estimates for every coordinate of the universe."""
-        return np.asarray([self.estimate(index) for index in range(self._n)])

@@ -119,8 +119,8 @@ class ExponentialScaler:
     seed:
         Root seed of the per-coordinate oracle.
     duplication:
-        Number of conceptual copies per coordinate (``n^c`` in the paper;
-        configurable here, see DESIGN.md "Substitutions").
+        Number of conceptual copies per coordinate (``n^c`` for a constant
+        ``c`` in the paper; a parameter here, so experiments can vary it).
     """
 
     def __init__(self, n: int, p: float, seed: SeedLike = None, duplication: int = 1) -> None:

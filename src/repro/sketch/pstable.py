@@ -14,29 +14,30 @@ live in — this module provides the classical linear sketch of [Ind06]:
 ``p``-stable variates are generated with the Chambers–Mallows–Stuck
 transform, keyed per (row, coordinate) through the library's seeded random
 oracle so the sketch is a genuine linear function of the stream.
+
+The substrate is written once, in :class:`PStableEnsemble` (``R``
+sketches' projections stacked along a replica axis): :class:`PStableSketch`
+is a view of a one-replica ensemble (see :mod:`repro.utils.ensemble`), and
+:func:`draw_pstable_replica` is the one copy of the draw both use.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, SamplerStateError
-from repro.utils.batching import (
-    BatchUpdateMixin,
-    aggregate_batch,
-    check_batch_bounds,
-    coerce_batch,
+from repro.utils.batching import aggregate_batch, check_member_index
+from repro.utils.ensemble import (
+    ReplicaEnsemble,
+    ReplicaView,
+    register_ensemble,
+    require_replicas,
 )
-from repro.utils.ensemble import ReplicaEnsemble, register_ensemble, require_fresh
-from repro.utils.rng import SeedLike, ensure_rng, splitmix64
-from repro.utils.validation import (
-    require_merge_compatible,
-    require_merge_peer,
-    require_moment_order,
-    require_positive_int,
-)
+from repro.utils.rng import SeedLike, ensure_rng, replica_seed, splitmix64
+from repro.utils.validation import require_moment_order, require_positive_int
 
 
 def chambers_mallows_stuck(p: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -136,8 +137,20 @@ def stable_median_scale(p: float, rng: np.random.Generator | None = None,
     return float(np.median(draws))
 
 
-class PStableSketch(BatchUpdateMixin):
+def draw_pstable_replica(seed: SeedLike, p: float) -> tuple[int, float]:
+    """The ``(root seed, median scale)`` one p-stable sketch draws from ``seed``.
+
+    :class:`PStableSketch` and :meth:`PStableEnsemble.from_seeds` both
+    call this, so the draw exists once.
+    """
+    root_seed = int(ensure_rng(seed).integers(0, 2**62))
+    return root_seed, stable_median_scale(p, ensure_rng(root_seed + 1))
+
+
+class PStableSketch(ReplicaView):
     """Linear ``L_p`` norm sketch for ``p in (0, 2]`` ([Ind06]).
+
+    A view of a one-replica :class:`PStableEnsemble`.
 
     Parameters
     ----------
@@ -154,22 +167,10 @@ class PStableSketch(BatchUpdateMixin):
     """
 
     def __init__(self, n: int, p: float, num_rows: int = 64, seed: SeedLike = None) -> None:
-        require_positive_int(n, "n")
+        self._ensemble = PStableEnsemble.from_seeds(n, p, num_rows, [seed])
         self._n = n
-        self._p = require_moment_order(p, "p", minimum=0.0, maximum=2.0)
-        require_positive_int(num_rows, "num_rows")
+        self._p = self._ensemble._p
         self._num_rows = num_rows
-        rng = ensure_rng(seed)
-        self._root_seed = int(rng.integers(0, 2**62))
-        self._state = np.zeros(num_rows, dtype=float)
-        self._scale = stable_median_scale(self._p, ensure_rng(self._root_seed + 1))
-        self._coefficient_cache: dict[int, np.ndarray] = {}
-        # The cache is a pure recomputation shortcut (coefficients are
-        # deterministic per index); bound the retained *floats*, not the
-        # entry count, so wide sketches cannot hoard memory — the sketch's
-        # whole point is O(num_rows) state.
-        self._coefficient_cache_limit = max(1, (1 << 20) // num_rows)
-        self._num_updates = 0
 
     @property
     def p(self) -> float:
@@ -181,93 +182,23 @@ class PStableSketch(BatchUpdateMixin):
         """Number of stable projections."""
         return self._num_rows
 
-    def space_counters(self) -> int:
-        """One counter per projection."""
-        return self._num_rows
-
-    def _coefficients(self, index: int) -> np.ndarray:
-        """The ``num_rows`` stable coefficients of coordinate ``index``.
-
-        Evaluated from the counter-based oracle
-        (:func:`stable_coefficient_block`) and cached (bounded): repeated
-        touches cost one dict lookup instead of a kernel evaluation.
-        """
-        cached = self._coefficient_cache.get(index)
-        if cached is None:
-            cached = stable_coefficient_block(
-                self._root_seed, self._p, self._num_rows,
-                np.asarray([index], dtype=np.int64))[:, 0]
-            if len(self._coefficient_cache) >= self._coefficient_cache_limit:
-                self._coefficient_cache.clear()
-            self._coefficient_cache[index] = cached
-        return cached
-
-    def update(self, index: int, delta: float) -> None:
-        """Apply a turnstile update to every projection."""
-        if not (0 <= index < self._n):
-            raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
-        self._state += delta * self._coefficients(index)
-        self._num_updates += 1
-
-    def update_batch(self, indices, deltas) -> None:
-        """Apply a batch through one coefficient-matrix / delta product.
-
-        Repeated indices are aggregated first (the sketch is linear); the
-        coefficients of every distinct coordinate come from one vectorised
-        oracle evaluation and the remaining numpy work is a single
-        ``matrix @ aggregated_deltas``.
-        """
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
-        unique, aggregated = aggregate_batch(indices, deltas)
-        matrix = stable_coefficient_block(self._root_seed, self._p,
-                                          self._num_rows, unique)
-        # Keep the per-index cache in sync with the scalar path (the oracle
-        # is deterministic, so batch-computed columns equal scalar draws).
-        for position, item in enumerate(unique.tolist()):
-            if item not in self._coefficient_cache:
-                if len(self._coefficient_cache) >= self._coefficient_cache_limit:
-                    self._coefficient_cache.clear()
-                self._coefficient_cache[item] = np.ascontiguousarray(
-                    matrix[:, position])
-        self._state += matrix @ aggregated
-        self._num_updates += int(indices.size)
-
     def estimate_norm(self) -> float:
         """Median estimator of ``||x||_p``."""
-        if self._num_updates == 0:
-            raise SamplerStateError("the sketch has not seen any updates")
-        return float(np.median(np.abs(self._state)) / self._scale)
+        return self._ensemble.estimate_norm_replica(0)
 
     def estimate_moment(self) -> float:
         """Estimate of ``F_p = ||x||_p^p``."""
-        return self.estimate_norm() ** self._p
-
-    def check_mergeable(self, other: "PStableSketch") -> None:
-        """Raise unless ``other`` can merge with ``self``; mutate nothing."""
-        require_merge_peer(self, other)
-        require_merge_compatible(
-            "p-stable sketches",
-            {"n": self._n, "p": self._p, "num_rows": self._num_rows,
-             "root seed": self._root_seed},
-            {"n": other._n, "p": other._p, "num_rows": other._num_rows,
-             "root seed": other._root_seed})
+        return self._ensemble.estimate_moment_replica(0)
 
     def merge(self, other: "PStableSketch") -> "PStableSketch":
-        """Merge two sketches built with the same seed over disjoint sub-streams."""
+        """Merge two sketches built with the same seed over disjoint sub-streams.
+
+        Returns a new sketch and leaves both operands untouched.
+        """
         self.check_mergeable(other)
-        merged = PStableSketch.__new__(PStableSketch)
-        merged._n = self._n
-        merged._p = self._p
-        merged._num_rows = self._num_rows
-        merged._root_seed = self._root_seed
-        merged._scale = self._scale
-        merged._coefficient_cache = {}
-        merged._coefficient_cache_limit = self._coefficient_cache_limit
-        merged._state = self._state + other._state
-        merged._num_updates = self._num_updates + other._num_updates
+        merged = copy.copy(self)
+        merged._ensemble = PStableEnsemble.concat([self._ensemble]).merge(
+            other._ensemble)
         return merged
 
 
@@ -278,25 +209,46 @@ class PStableEnsemble(ReplicaEnsemble):
     each batch is aggregated once (shared ``np.unique``/``bincount``) and
     the stable coefficients of every ``(replica, row, coordinate)`` cell
     come from a single vectorised evaluation of the counter-based oracle.
-    Per-replica accumulation runs the standalone ``matrix @ aggregated``
-    product on identically laid-out slices, so replica state is
-    bit-identical to driving each sketch separately.
+    Each replica accumulates through its own ``matrix @ aggregated``
+    product on an identically laid-out slice, so replica state is
+    bit-identical however the replicas are stacked.  Built from
+    :class:`PStableSketch` views it concatenates their one-replica
+    ensembles; :meth:`from_seeds` draws the replicas directly.
     """
 
-    def __init__(self, instances) -> None:
-        require_fresh(instances, lambda inst: inst._num_updates > 0, "p-stable")
-        first = instances[0]
-        if any((inst._n, inst._p, inst._num_rows) != (first._n, first._p, first._num_rows)
-               for inst in instances):
-            raise InvalidParameterError("ensemble members must share (n, p, num_rows)")
-        self._n = first._n
-        self._p = first._p
-        self._num_rows = first._num_rows
-        self._roots = np.asarray([inst._root_seed for inst in instances],
-                                 dtype=np.uint64)
-        self._scales = np.asarray([inst._scale for inst in instances])
-        self._state = np.zeros((len(instances), self._num_rows), dtype=float)
-        self._num_updates = np.zeros(len(instances), dtype=np.int64)
+    @classmethod
+    def from_seeds(cls, n: int, p: float, num_rows: int,
+                   seeds) -> "PStableEnsemble":
+        """The ensemble of ``PStableSketch(n, p, num_rows, s)`` for ``s``
+        in ``seeds``, each replica drawn by :func:`draw_pstable_replica`."""
+        require_positive_int(n, "n")
+        p = require_moment_order(p, "p", minimum=0.0, maximum=2.0)
+        require_positive_int(num_rows, "num_rows")
+        require_replicas(seeds)
+        drawn = [draw_pstable_replica(replica_seed(seed), p) for seed in seeds]
+        ensemble = cls.__new__(cls)
+        ensemble._setup(n, p, num_rows,
+                        np.asarray([root for root, _ in drawn], dtype=np.uint64),
+                        np.asarray([scale for _, scale in drawn]),
+                        np.zeros((len(drawn), num_rows), dtype=float),
+                        np.zeros(len(drawn), dtype=np.int64))
+        return ensemble
+
+    def _setup(self, n: int, p: float, num_rows: int, roots: np.ndarray,
+               scales: np.ndarray, state: np.ndarray,
+               num_updates: np.ndarray) -> None:
+        """Set every field."""
+        self._n = n
+        self._p = p
+        self._num_rows = num_rows
+        self._roots = roots
+        self._scales = scales
+        self._state = state
+        self._num_updates = num_updates
+
+    def _has_ingested(self) -> bool:
+        """Whether any replica has ingested an update."""
+        return bool(self._num_updates.any())
 
     @classmethod
     def concat(cls, ensembles: "list[PStableEnsemble]") -> "PStableEnsemble":
@@ -306,44 +258,35 @@ class PStableEnsemble(ReplicaEnsemble):
         are concatenated as-is, so merging the shards of a replica-sharded
         run is pure array concatenation.
         """
-        if not ensembles:
-            raise InvalidParameterError("need at least one ensemble")
+        require_replicas(ensembles)
         first = ensembles[0]
         if any((e._n, e._p, e._num_rows) != (first._n, first._p, first._num_rows)
                for e in ensembles):
             raise InvalidParameterError("ensembles must share (n, p, num_rows)")
         merged = cls.__new__(cls)
-        merged._n = first._n
-        merged._p = first._p
-        merged._num_rows = first._num_rows
-        merged._roots = np.concatenate([e._roots for e in ensembles])
-        merged._scales = np.concatenate([e._scales for e in ensembles])
-        merged._state = np.concatenate([e._state for e in ensembles])
-        merged._num_updates = np.concatenate([e._num_updates for e in ensembles])
+        merged._setup(first._n, first._p, first._num_rows,
+                      np.concatenate([e._roots for e in ensembles]),
+                      np.concatenate([e._scales for e in ensembles]),
+                      np.concatenate([e._state for e in ensembles]),
+                      np.concatenate([e._num_updates for e in ensembles]))
         return merged
 
     def merge(self, other: "PStableEnsemble") -> "PStableEnsemble":
         """Entrywise-add a same-seed ensemble built over a disjoint sub-stream.
 
-        The ensemble analogue of :meth:`PStableSketch.merge`: the sketch is
-        linear, so a coordinator holding per-shard copies (same replica
-        seeds, disjoint stream shards) obtains the global state by adding
-        the stacked projection states.  In place; returns ``self``.
+        The sketch is linear, so a coordinator holding per-shard copies
+        (same replica seeds, disjoint stream shards) obtains the global
+        state by adding the stacked projection states.  In place; returns
+        ``self``.
         """
         self.check_mergeable(other)
         np.add(self._state, other._state, out=self._state)
         self._num_updates += other._num_updates
         return self
 
-    def check_mergeable(self, other: "PStableEnsemble") -> None:
-        """Raise unless ``other`` can merge into ``self``; mutate nothing."""
-        require_merge_peer(self, other)
-        require_merge_compatible(
-            "p-stable ensembles",
-            {"n": self._n, "p": self._p, "num_rows": self._num_rows,
-             "replica seeds": self._roots},
-            {"n": other._n, "p": other._p, "num_rows": other._num_rows,
-             "replica seeds": other._roots})
+    def _merge_identity(self) -> dict:
+        return {"n": self._n, "p": self._p, "num_rows": self._num_rows,
+                "replica seeds": self._roots}
 
     @property
     def num_replicas(self) -> int:
@@ -354,12 +297,15 @@ class PStableEnsemble(ReplicaEnsemble):
         """Total stored counters across all replicas."""
         return int(np.prod(self._state.shape))
 
-    def update_batch(self, indices, deltas) -> None:
-        """Apply one batch to every replica with one shared oracle pass."""
-        indices, deltas = coerce_batch(indices, deltas)
-        if indices.size == 0:
-            return
-        check_batch_bounds(indices, self._n)
+    def _ingest(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        """Apply one validated batch to every replica with one shared oracle
+        pass.
+
+        Repeated indices are aggregated first (the sketch is linear); the
+        coefficients of every distinct coordinate come from vectorised
+        oracle evaluations, and each replica's remaining work is a single
+        ``matrix @ aggregated_deltas``.
+        """
         unique, aggregated = aggregate_batch(indices, deltas)
         # Evaluate the oracle grid in replica chunks so its temporaries stay
         # cache-resident (the kernel is memory-bound on big grids).
@@ -370,8 +316,7 @@ class PStableEnsemble(ReplicaEnsemble):
         # GIL and no per-replica temporaries are allocated under it, so the
         # `threaded` sharding back-end overlaps shard ingests in one
         # process (the scratch is call-local, hence thread-private).
-        # ``np.dot`` with ``out=`` is the identical BLAS call as ``@`` —
-        # replica state stays bit-identical to the standalone sketch.
+        # ``np.dot`` with ``out=`` is the identical BLAS call as ``@``.
         scratch = np.empty(self._num_rows, dtype=float)
         for start in range(0, self.num_replicas, step):
             stop = min(self.num_replicas, start + step)
@@ -385,6 +330,7 @@ class PStableEnsemble(ReplicaEnsemble):
 
     def estimate_norm_replica(self, replica: int) -> float:
         """Median estimator of ``||x||_p`` for one replica."""
+        check_member_index(replica, self.num_replicas, "replica")
         if self._num_updates[replica] == 0:
             raise SamplerStateError("the sketch has not seen any updates")
         return float(np.median(np.abs(self._state[replica]))
@@ -393,10 +339,6 @@ class PStableEnsemble(ReplicaEnsemble):
     def estimate_moment_replica(self, replica: int) -> float:
         """``F_p`` estimate of one replica."""
         return self.estimate_norm_replica(replica) ** self._p
-
-    def sample_replica(self, replica: int):
-        """PStableSketch has no ``sample``; the ensemble is query-only."""
-        raise NotImplementedError("PStableEnsemble is query-only")
 
 
 register_ensemble(PStableSketch, PStableEnsemble)

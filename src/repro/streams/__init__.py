@@ -13,7 +13,8 @@ The streaming model of the paper (Section 1) defines a frequency vector
     :class:`FrequencyVector`, an incremental accumulator used by exact
     oracles and tests.
 ``generators``
-    Synthetic workload generators for every experiment in DESIGN.md:
+    Synthetic workload generators for every experiment
+    (``benchmarks/bench_e*.py``):
     Zipfian and uniform frequency vectors, planted heavy hitters, signed
     turnstile workloads with cancellations, Gaussian hard-distribution
     instances, and forget-request query sets.

@@ -1,7 +1,7 @@
 """Synthetic workload generators.
 
-The paper contains no empirical section, so every experiment in DESIGN.md is
-driven by synthetic workloads produced here.  The generators cover the
+The paper contains no empirical section, so every experiment
+(``benchmarks/bench_e*.py``) is driven by synthetic workloads produced here.  The generators cover the
 regimes the paper's introduction motivates:
 
 * **Zipfian / power-law frequency vectors** — the canonical skewed workload
@@ -276,7 +276,7 @@ def forget_request_set(vector: np.ndarray, forget_fraction: float,
 
 
 def standard_workloads(n: int, seed: int = 0) -> list[WorkloadSpec]:
-    """The named workloads used across benchmarks (see DESIGN.md section 3)."""
+    """The named workloads used across the benchmarks."""
     return [
         WorkloadSpec("zipf-1.1", n, StreamKind.TURNSTILE, {"skew": 1.1, "seed": seed}),
         WorkloadSpec("uniform", n, StreamKind.TURNSTILE, {"low": 1, "high": 100, "seed": seed}),

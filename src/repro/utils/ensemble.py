@@ -1,63 +1,80 @@
 """Replica-ensemble engine: run ``R`` independent replicas in one pass.
 
 Every distributional claim in the paper is checked empirically by drawing
-hundreds of one-shot samples from fresh, *independent* sampler instances.
-Before this module existed the evaluation pipeline paid ``R ×`` the
-single-instance cost: each replica was constructed, fed the full stream, and
-queried on its own.  The replica axis, however, is embarrassingly
-vectorisable — the hot substrates are linear sketches whose per-replica
-state is a small array, so ``R`` replicas are just one more leading axis on
-the same numpy kernels.
+hundreds of one-shot samples from fresh, *independent* sampler instances,
+and Algorithms 1-2 themselves run ``N = Theta(n^{1-2/p})`` independent
+``L_2`` samplers beside one ``F_2`` and one ``F_p`` sketch.  The replica
+axis is embarrassingly vectorisable — the hot substrates are linear
+sketches whose per-replica state is a small array — so ``R`` replicas are
+one more leading axis on the same numpy kernels, and a lone sketch is the
+``R = 1`` case of that stacked form.
+
+Views: each substrate is written once
+-------------------------------------
+Seven substrates keep their state, ingest kernel, queries, table modes,
+pickling rule and merge check in one array-stacked ensemble only:
+``CountSketchEnsemble``, ``CountMinEnsemble``, ``AMSEnsemble``,
+``PStableEnsemble``, ``FpEstimatorEnsemble``, ``JW18LpSamplerEnsemble``
+and ``PrecisionLpSamplerEnsemble``.  The standalone classes
+(``CountSketch``, ``AMSSketch``, ``FpEstimator``, ``JW18LpSampler``, ...)
+are views (:class:`ReplicaView`): each holds a one-replica ensemble built by
+that ensemble's ``from_seeds`` (``FpEstimator`` holds ``groups``
+replicas), plus the shape scalars its public API reads, and answers every
+call with replica 0.  Each substrate module has one draw helper per
+replica (``draw_countsketch_hashes``, ``draw_jw18_replica``, ...), which
+both the view and ``from_seeds`` go through, so a view with seed ``s`` is
+bitwise replica ``r`` of any ensemble whose ``r``-th seed is ``s``.
+
+A view and its ensemble's public ``update_batch`` share one private
+``_ingest`` kernel, and a sampler view and ``sample_replica`` share one
+private ``_sample``: a view never enters its ensemble's public ingest or
+draw, so code that wraps those names (a profiler, a tracer) sees each
+update and each draw once.
 
 Replica-axis layout
 -------------------
-A native ensemble stacks the per-replica state along axis 0:
-
 * ``CountSketchEnsemble`` holds tables of shape ``(M, rows, buckets)`` and
   hash tables of shape ``(M, rows, n)`` for ``M`` member sketches, built by
   evaluating *one* concatenated :class:`~repro.sketch.hashing.KWiseHashFamily`
   over the universe (shared through the keyed cache of
   :mod:`repro.utils.table_cache` in ``cached`` table mode, or never
   materialised at all in ``blocked`` mode — both bit-identical);
+  ``CountMinEnsemble`` is the same without signs;
 * ``AMSEnsemble`` holds counters ``(M, width * depth)`` and signs
   ``(M, width * depth, n)`` (same table modes);
 * ``PStableEnsemble`` holds projection states ``(R, num_rows)`` with the
   counter-based stable-coefficient oracle evaluated over the whole
   ``(R, num_rows, batch)`` grid at once;
-* composite ensembles (``JW18LpSamplerEnsemble`` and friends) stack their
-  sub-structure ensembles and broadcast the per-replica scaled deltas
-  ``(R, B)`` into them in one shared ingest pass.
+* ``FpEstimatorEnsemble`` holds ``(R, repetitions, n)`` exponential scales
+  beside either ``(R, repetitions, n)`` scaled vectors (oracle mode) or one
+  ``CountSketchEnsemble`` over all ``R * repetitions`` repetitions;
+* the sampler ensembles stack their sub-structure ensembles and broadcast
+  the per-replica scaled deltas ``(R, B)`` into them in one ingest pass.
 
 That stacked state, plus the per-replica parameters the queries read
-(scales, query-time generators), is *all* an array-stacked ensemble keeps:
-the instances it was built from are dropped, so pickles, worker payloads
-and snapshots carry counters and hash coefficients, not a second set of
-zero tables and object graphs.  Its builder therefore refuses a replica
-that has already ingested updates.  Composite samplers skip the instances
-altogether: ``CountSketchEnsemble.from_seeds``, ``AMSEnsemble.from_seeds``
-and ``JW18LpSamplerEnsemble.from_seeds`` draw exactly what the standalone
-constructors would from the same seeds, through the same per-replica draw
-helpers.
-
-One batch of stream updates is applied to *all* replicas with a single
-scatter-add / matrix product per substrate; per-cell accumulation order is
-identical to the standalone path, so replica state is bit-identical to
-constructing and driving each instance separately (asserted by
+(scales, query-time generators), is *all* an ensemble keeps: pickles,
+worker payloads and snapshots carry counters and hash coefficients, not
+object graphs.  One batch of stream updates reaches *all* replicas with a
+single scatter-add / matrix product per substrate, and per-cell
+accumulation follows the single-sketch order, so replica state is
+bit-identical however the replicas are stacked (asserted against a
+test-side single-sketch reference by
 ``tests/test_ensemble_equivalence.py``).
 
 The registry
 ------------
-Scalar classes register a native ensemble builder with
-:func:`register_ensemble`; :func:`build_ensemble` dispatches on the type of
-the probe instances (walking the MRO, so e.g. ``PerfectL2Sampler`` finds the
-``JW18LpSampler`` builder) and falls back to :class:`SamplerEnsemble`,
-which shares the materialised stream and the chunked replay across replicas
-but keeps per-replica state inside the instances themselves — the fallback
-also takes replicas a native builder refuses (mismatched configurations,
-or replicas that are not fresh).  Composite samplers build their *inner*
-repetition loops (value-estimation banks, max-stability repetitions, the
-``N`` parallel ``L_2`` samplers of Algorithms 1-2) as native ensembles
-straight from seeds.
+Standalone classes register their ensemble with :func:`register_ensemble`;
+:func:`build_ensemble` dispatches on the type of the probe instances
+(walking the MRO, so e.g. ``PerfectL2Sampler`` finds the ``JW18LpSampler``
+builder).  For views the builder is the ensemble's constructor, which
+concatenates the views' one-replica ensembles.  It refuses views that have
+already ingested (an ensemble starts from zero state) and mismatched
+configurations, and :func:`build_ensemble` then falls back to
+:class:`SamplerEnsemble`, which shares the materialised stream and the
+chunked replay across replicas but keeps per-replica state inside the
+instances themselves.  Composite samplers build their *inner* repetition
+loops (value-estimation banks, max-stability repetitions, the ``N``
+parallel ``L_2`` samplers of Algorithms 1-2) straight from seeds.
 
 :func:`ensemble_samples` is the evaluation-facing entry point: build ``R``
 replicas from a seed-indexed factory, ingest one shared stream, and return
@@ -81,11 +98,19 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.batching import coerce_batch, replay_stream, stream_arrays
+from repro.utils.batching import (
+    BatchUpdateMixin,
+    check_batch_bounds,
+    coerce_batch,
+    replay_stream,
+    stream_arrays,
+)
 from repro.utils.execution_config import ExecutionConfig
+from repro.utils.validation import require_merge_compatible, require_merge_peer
 
 __all__ = [
     "ReplicaEnsemble",
+    "ReplicaView",
     "SamplerEnsemble",
     "LevelStackEnsemble",
     "register_ensemble",
@@ -110,23 +135,82 @@ __all__ = [
 SCATTER_CHUNK_ELEMENTS = 1 << 16
 
 
+def require_replicas(items: Sequence) -> None:
+    """Raise unless ``items`` (seeds, views or ensembles) is non-empty."""
+    if len(items) == 0:
+        raise InvalidParameterError("an ensemble needs at least one replica")
+
+
 class ReplicaEnsemble:
     """Base class for ``R`` independent replicas with one shared ingest pass.
 
     Subclasses own the replicas' state and implement ``num_replicas``,
-    ``update_batch``, ``space_counters``, ``concat`` and
-    ``sample_replica``/queries.  The array-stacked ensembles (CountSketch,
-    CountMin, AMS, p-stable, oracle-mode F_p, JW18 and precision) keep
-    only their stacked arrays (hash families, tables, counters, scales)
-    and the per-replica parameters their queries read — never the
-    instances they were built from, which they would otherwise pickle,
-    ship and hold for nothing.  Because they start from zero state, their
-    builders refuse a replica that has already ingested updates
-    (:func:`build_ensemble` then falls back to :class:`SamplerEnsemble`).
-    :class:`SamplerEnsemble`, :class:`LevelStackEnsemble` and sketch-mode
-    ``FpEstimatorEnsemble`` keep their instances, because there the
-    instances are the state; only they have ``replicas``.
+    ``space_counters``, ``concat`` and ``sample_replica``/queries.  The
+    array-stacked ensembles (CountSketch, CountMin, AMS, p-stable, F_p,
+    JW18 and precision) keep only their stacked arrays (hash families,
+    tables, counters, scales) and the per-replica parameters their queries
+    read, and implement ``_ingest``, the one ingest kernel their
+    ``update_batch`` and their views share.  Built from views, they stack
+    the views' one-replica ensembles (see :meth:`__init__`).
+    :class:`SamplerEnsemble` and :class:`LevelStackEnsemble` keep their
+    instances, because there the instances are the state; only they have
+    ``replicas``.
     """
+
+    def __init__(self, views: Sequence) -> None:
+        """Stack fresh views (:class:`ReplicaView`) of this ensemble's kind.
+
+        The result is the ``concat`` of the views' one-replica ensembles,
+        so it keeps none of the views.  It starts from their zero state, so
+        the state of a view that has already ingested would be lost without
+        a trace: such a view is refused, as are views of another kind, and
+        ``concat`` refuses mismatched configurations.
+        :func:`build_ensemble` then falls back to :class:`SamplerEnsemble`,
+        which keeps the views with their state.
+        """
+        kind = type(self).__name__.removesuffix("Ensemble")
+        ensembles = [getattr(view, "_ensemble", None) for view in views]
+        require_replicas(ensembles)
+        if any(type(ensemble) is not type(self) for ensemble in ensembles):
+            raise InvalidParameterError(
+                f"{type(self).__name__} stacks {kind} views only")
+        if any(ensemble._has_ingested() for ensemble in ensembles):
+            raise InvalidParameterError(
+                f"a native {kind} ensemble starts from zero state, so its "
+                "replicas must be fresh; one has already ingested updates")
+        self.__dict__.update(type(self).concat(ensembles).__dict__)
+
+    #: Fields derived from the state (hash tables, query caches): pickled
+    #: as ``None``, so pickles, worker payloads and snapshots stay
+    #: independent of table size, and re-derived lazily after a restore.
+    _DERIVED: tuple = ()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.update(dict.fromkeys(self._DERIVED))
+        return state
+
+    def __setstate__(self, state):
+        """Restore with every derived field unset, also when a state from
+        an earlier build kept one: an unpickled ensemble always rebuilds
+        its tables from its hash families (and the process-local cache),
+        bit-identically to a freshly built one."""
+        state.update(dict.fromkeys(self._DERIVED))
+        self.__dict__.update(state)
+
+    def _has_ingested(self) -> bool:
+        """Whether any replica holds ingested state."""
+        raise NotImplementedError
+
+    def _ingest(self, indices: np.ndarray, deltas: np.ndarray) -> None:
+        """Apply a validated batch to every replica.
+
+        ``indices`` are ``int64`` coordinates inside the universe and
+        ``deltas`` the matching ``(B,)`` floats.  :meth:`update_batch` and
+        the ensemble's :class:`ReplicaView` both call this, so the kernel
+        exists once.
+        """
+        raise NotImplementedError
 
     @classmethod
     def concat(cls, ensembles: "Sequence[ReplicaEnsemble]") -> "ReplicaEnsemble":
@@ -153,6 +237,17 @@ class ReplicaEnsemble:
             f"{type(self).__name__} does not support stream-sharded merging: "
             "its per-replica state is not a stacked linear sketch")
 
+    def _merge_identity(self) -> dict:
+        """The parameters a merge peer must share: seeds, shape, mode."""
+        raise NotImplementedError
+
+    def check_mergeable(self, other: "ReplicaEnsemble") -> None:
+        """Raise unless ``other`` can merge into ``self``; mutate nothing."""
+        require_merge_peer(self, other)
+        require_merge_compatible(f"{type(self).__name__}s",
+                                 self._merge_identity(),
+                                 other._merge_identity())
+
     @property
     def num_replicas(self) -> int:
         """Number of replicas ``R``."""
@@ -160,7 +255,11 @@ class ReplicaEnsemble:
 
     def update_batch(self, indices, deltas) -> None:
         """Apply one batch of turnstile updates to every replica."""
-        raise NotImplementedError
+        indices, deltas = coerce_batch(indices, deltas)
+        if indices.size == 0:
+            return
+        check_batch_bounds(indices, self._n)
+        self._ingest(indices, deltas)
 
     def update_stream(self, stream, *, batch_size: int | None = None) -> None:
         """Replay a stream once, shared across all replicas."""
@@ -171,45 +270,63 @@ class ReplicaEnsemble:
         raise NotImplementedError
 
     def sample_replica(self, replica: int):
-        """One-shot sample of replica ``replica`` (or ``None`` on FAIL)."""
-        raise NotImplementedError
+        """One-shot sample of replica ``replica`` (or ``None`` on FAIL).
+
+        Sketch ensembles have no ``sample``: they are query-only and raise.
+        """
+        raise NotImplementedError(f"{type(self).__name__} is query-only")
 
     def replica_samples(self) -> list:
         """The ``R`` one-shot samples, one per replica."""
         return [self.sample_replica(r) for r in range(self.num_replicas)]
 
 
-def require_fresh(instances: Sequence, stale: Callable[[object], bool],
-                  kind: str) -> None:
-    """Raise unless there is a replica and none of them is ``stale``.
+class ReplicaView(BatchUpdateMixin):
+    """A standalone sketch or sampler: replica 0 of a one-replica ensemble.
 
-    An array-stacked ensemble starts from zero state and keeps no
-    instance, so the state of a replica that has already ingested would be
-    lost without a trace; refusing it lets :func:`build_ensemble` fall
-    back to :class:`SamplerEnsemble`, which keeps the instances with their
-    state.
+    Subclasses set ``self._ensemble`` (built by the ensemble's
+    ``from_seeds``) and ``self._n`` and forward their queries to replica 0.
+    Ingest validates the batch as every standalone class does and runs the
+    ensemble's private ``_ingest``, never its public ``update_batch``.
+    Pickling, table modes and merge checks are the ensemble's.
     """
-    if not instances:
-        raise InvalidParameterError("an ensemble needs at least one replica")
-    if any(stale(instance) for instance in instances):
-        raise InvalidParameterError(
-            f"a native {kind} ensemble starts from zero state, so its "
-            "replicas must be fresh; one has already ingested updates")
+
+    def update(self, index: int, delta: float) -> None:
+        """Apply the stream update ``(index, delta)`` as a one-update batch."""
+        self._apply([index], [delta])
+
+    def update_batch(self, indices, deltas) -> None:
+        """Apply a batch of updates through the ensemble's ingest kernel."""
+        self._apply(indices, deltas)
+
+    def _apply(self, indices, deltas) -> None:
+        indices, deltas = coerce_batch(indices, deltas)
+        if indices.size:
+            check_batch_bounds(indices, self._n)
+            self._ensemble._ingest(indices, deltas)
+
+    def space_counters(self) -> int:
+        """Stored counters: sketch cells, plus stored scale factors or the
+        exact scaled vectors where the substrate keeps them."""
+        return self._ensemble.space_counters()
+
+    def check_mergeable(self, other) -> None:
+        """Raise unless ``other`` can merge into ``self``; mutate nothing."""
+        require_merge_peer(self, other)
+        self._ensemble.check_mergeable(other._ensemble)
 
 
 class _InstanceEnsemble(ReplicaEnsemble):
     """Replicas whose state lives inside the instances themselves."""
 
     def __init__(self, instances: Sequence) -> None:
-        if not instances:
-            raise InvalidParameterError("an ensemble needs at least one replica")
+        require_replicas(instances)
         self._instances = list(instances)
 
     @classmethod
     def concat(cls, ensembles: "Sequence[ReplicaEnsemble]") -> "ReplicaEnsemble":
         """Re-wrap the combined instance list (the state is in them)."""
-        if not ensembles:
-            raise InvalidParameterError("need at least one ensemble")
+        require_replicas(ensembles)
         if any(type(e) is not cls for e in ensembles):
             raise InvalidParameterError(
                 "can only concat ensembles of one type; got "
@@ -296,7 +413,7 @@ class LevelStackEnsemble(_InstanceEnsemble):
 
     def update_batch(self, indices, deltas) -> None:
         """Route one batch through every replica's level stack."""
-        from repro.utils.batching import check_batch_bounds, route_subsampled_batch
+        from repro.utils.batching import route_subsampled_batch
 
         indices, deltas = coerce_batch(indices, deltas)
         if indices.size == 0:
@@ -380,8 +497,7 @@ def registered_ensemble_builder(cls: type) -> Optional[Callable]:
 
 def build_ensemble(instances: Sequence) -> ReplicaEnsemble:
     """Wrap replica instances in their native ensemble (or the fallback)."""
-    if not instances:
-        raise InvalidParameterError("an ensemble needs at least one replica")
+    require_replicas(instances)
     builder = registered_ensemble_builder(type(instances[0]))
     if builder is None:
         return SamplerEnsemble(instances)

@@ -68,6 +68,17 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def replica_seed(seed: SeedLike) -> SeedLike:
+    """``seed``, with a numpy integer converted to a Python ``int``.
+
+    Both seed a generator identically, but the generator keeps its seed
+    and pickles it with its type, so the ensembles' ``from_seeds`` convert
+    the seed arrays they are given: a pickle then does not depend on
+    whether a seed arrived as ``int`` or as ``numpy.int64``.
+    """
+    return int(seed) if isinstance(seed, np.integer) else seed
+
+
 def spawn_rng(seed: SeedLike, n_children: int) -> list[np.random.Generator]:
     """Spawn ``n_children`` statistically independent child generators.
 

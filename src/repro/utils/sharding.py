@@ -124,7 +124,11 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.utils.batching import stream_arrays
-from repro.utils.ensemble import ReplicaEnsemble, build_ensemble
+from repro.utils.ensemble import (
+    ReplicaEnsemble,
+    build_ensemble,
+    require_replicas,
+)
 from repro.utils.execution_config import EXECUTION_MODES, ExecutionConfig
 from repro.utils.transport import dumps_frames, frames_as_bytes, loads_frames
 
@@ -482,8 +486,7 @@ def replica_sharded_ensemble(instances: Sequence, stream=None, *,
             "replica sharding needs num_shards (pass config="
             "ExecutionConfig(num_shards=...))")
     instances = list(instances)
-    if not instances:
-        raise InvalidParameterError("an ensemble needs at least one replica")
+    require_replicas(instances)
     groups = [group for group in shard_replicas(instances, num_shards) if group]
     ensembles = [build_ensemble(group) for group in groups]
     if stream is not None:
@@ -519,8 +522,7 @@ def stream_sharded_ensemble(factory: Callable[[int], object],
     cfg = ExecutionConfig() if config is None else config
     num_shards = cfg.num_shards
     seeds = list(seeds)
-    if not seeds:
-        raise InvalidParameterError("an ensemble needs at least one replica")
+    require_replicas(seeds)
     if assignment is None:
         if num_shards is None:
             raise InvalidParameterError(

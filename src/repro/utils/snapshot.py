@@ -11,12 +11,12 @@ snapshot is covered by a CRC, and any single-byte corruption or
 truncation is refused with :class:`SnapshotError` instead of surfacing
 as a pickle error or a silently wrong object.
 
-Snapshot format version 3 (integers big-endian)::
+Snapshot format version 4 (integers big-endian)::
 
     MAGIC (4s = b"RSNP") | FORMAT_VERSION (B) | header_crc32 (I)
     then one transport wire message (:func:`repro.utils.transport.encode_parts`):
         frame 0:  UTF-8 JSON metadata {"format": "repro-snapshot",
-                  "snapshot_version": 3, "class": "<module>.<qualname>",
+                  "snapshot_version": 4, "class": "<module>.<qualname>",
                   "extra": {...caller metadata...}}
         frame 1:  pickle protocol-5 body of the object
         frames 2+: out-of-band pickle buffers (large numpy state)
@@ -35,7 +35,12 @@ Snapshot format version 3 (integers big-endian)::
     version-3 ones keep only their stacked arrays and per-replica
     parameters (the query-time generators, the exponential scales), which
     cut a ``PerfectLpSampler(1024, 3)`` snapshot from 46.4 to 17.8 MB and
-    from 3,589 to 128 frames.
+    from 3,589 to 128 frames.  In version 4 the standalone sketches and
+    samplers (``CountSketch``, ``AMSSketch``, ``FpEstimator``,
+    ``JW18LpSampler``, ...) are views that hold a one-replica ensemble, and
+    sketch-mode ``FpEstimatorEnsemble`` holds stacked arrays; a version-3
+    file of a standalone class would unpickle into a view with no
+    ensemble.
 
 Raw frames
     Frames are written raw (transport flag 0).  What a snapshot carries is
@@ -116,7 +121,7 @@ __all__ = [
 ]
 
 #: On-disk format version emitted and accepted by this build.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _MAGIC = b"RSNP"  # "repro snapshot"
 _PREFIX = struct.Struct(">4sB")       # magic, format version

@@ -2,7 +2,7 @@
 
 Fixtures keep universes small so that even the fully sketched (non-oracle)
 code paths run in seconds; distribution-level statistical tests use the
-oracle backends documented in DESIGN.md.
+oracle backends (see :mod:`repro.core.lp_base`).
 """
 
 from __future__ import annotations

@@ -45,11 +45,7 @@ from repro.samplers.reservoir import KReservoirL1Sampler, ReservoirL1Sampler
 from repro.samplers.truly_perfect import ExponentialRaceSampler, TrulyPerfectGSampler
 from repro.sketch.ams import AMSSketch
 from repro.sketch.countmin import CountMin
-from repro.sketch.countsketch import (
-    AveragedCountSketch,
-    CountSketch,
-    RandomBucketCountSketch,
-)
+from repro.sketch.countsketch import AveragedCountSketch, CountSketch
 from repro.sketch.distinct import KMinimumValues, RoughL0Estimator
 from repro.sketch.fp_estimator import FpEstimator, MaxStabilityFpEstimator
 from repro.sketch.pstable import PStableSketch
@@ -159,8 +155,6 @@ CASES = [
          query=lambda s: s.estimate_all()),
     Case("averaged-countsketch", lambda s: AveragedCountSketch(N, 16, 3, 4, s),
          query=lambda s: s.estimate(3)),
-    Case("random-bucket-countsketch", lambda s: RandomBucketCountSketch(N, 16, 4, s),
-         query=lambda s: s.estimate_all()),
     Case("countmin", lambda s: CountMin(N, 16, 4, s),
          query=lambda s: s.estimate_all()),
     Case("ams", lambda s: AMSSketch(N, width=8, depth=3, seed=s),

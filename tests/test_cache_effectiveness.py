@@ -105,7 +105,7 @@ def test_standalone_same_seed_instances_share_one_evaluation(stream) -> None:
     stats = cache_stats()
     assert stats.misses == 2
     assert stats.hits == 2 * (REPLICAS - 1)
-    tables = [sketch._bucket_of for sketch in sketches]
+    tables = [sketch._ensemble._bucket_of.base for sketch in sketches]
     assert all(table is tables[0] for table in tables)
 
 
@@ -114,14 +114,15 @@ def test_rebuilt_sketches_hit_the_cache_after_unpickling(stream) -> None:
     the cache instead of re-evaluating (misses stay constant)."""
     original = AMSSketch(N, width=8, depth=3, seed=3, table_mode="cached")
     clone = pickle.loads(pickle.dumps(original))  # counters empty, no tables
-    assert clone._signs is None
+    assert clone._ensemble._signs is None
     original.update_stream(stream)
     baseline = cache_stats().misses
     clone.update_stream(stream)
     stats = cache_stats()
     assert stats.misses == baseline  # pure hit: no re-evaluation
     assert stats.hits >= 1
-    np.testing.assert_array_equal(original._counters, clone._counters)
+    np.testing.assert_array_equal(original._ensemble._counters[0],
+                                  clone._ensemble._counters[0])
 
 
 def _payload_bytes(universe: int, stream) -> list[int]:

@@ -7,6 +7,12 @@ replica from the same seed and driving it separately.  This suite enforces
 that promise for every registered native ensemble (and for the generic
 fallback) on turnstile streams with cancellations.
 
+The standalone sketches and samplers are one-replica views of these
+ensembles, so each replica is compared both with the view of its seed and
+with the single-sketch reference of ``tests/substrate_reference.py``,
+which keeps the formulas the standalone classes ran before they became
+views.  Classes that are not views are their own reference.
+
 Float state is compared with ``np.testing.assert_array_equal`` (bitwise,
 not approximate): the ensembles are engineered to run the *same* kernels
 per replica — identical per-cell scatter order, identical gemv layouts —
@@ -33,7 +39,11 @@ from repro.sketch.ams import AMSEnsemble, AMSSketch
 from repro.sketch.countmin import CountMin, CountMinEnsemble
 from repro.sketch.countsketch import CountSketch, CountSketchEnsemble
 from repro.sketch.distinct import RoughL0Estimator
-from repro.sketch.fp_estimator import FpEstimatorEnsemble, MaxStabilityFpEstimator
+from repro.sketch.fp_estimator import (
+    FpEstimator,
+    FpEstimatorEnsemble,
+    MaxStabilityFpEstimator,
+)
 from repro.sketch.pstable import PStableEnsemble, PStableSketch
 from repro.streams.generators import (
     turnstile_stream_with_cancellations,
@@ -47,6 +57,16 @@ from repro.utils.ensemble import (
     ensemble_samples,
 )
 from repro.utils.table_cache import table_mode
+from substrate_reference import (
+    AMSReference,
+    CountMinReference,
+    CountSketchReference,
+    FpEstimatorReference,
+    JW18Reference,
+    MaxStabilityReference,
+    PrecisionReference,
+    PStableReference,
+)
 
 N = 40
 REPLICAS = 14
@@ -80,39 +100,41 @@ class Case:
     name: str
     factory: Callable[[int], object]
     expected_ensemble: type
-    #: state extractor for a standalone instance driven separately
-    solo_state: Callable[[object], dict]
-    #: state extractor for replica ``r`` of the ensemble
+    #: state extractor for replica ``r`` of an ensemble (a view's state is
+    #: replica 0 of its own ensemble)
     ensemble_state: Callable[[object, int], dict]
-    #: query on a standalone instance
+    #: query on a standalone instance or a reference
     solo_query: Callable[[object], object]
     #: query on replica ``r`` of the ensemble
     ensemble_query: Callable[[object, int], object]
+    #: the single-sketch reference for a seed; ``None`` for classes that
+    #: are not views, which are their own reference
+    reference: Callable[[int], object] | None = None
     #: whether queries return Sample objects (field-wise comparison)
     returns_sample: bool = False
 
+    def solo_state(self, instance) -> dict:
+        """State of a standalone instance: a view's state is replica 0 of
+        its own ensemble (classes that are not views report none)."""
+        return self.ensemble_state(getattr(instance, "_ensemble", None), 0)
 
-def _jw18_state(kind):
-    def solo(inst):
-        if inst._exact_recovery:
-            return {"scaled": inst._scaled_vector}
-        return {
-            "main": inst._main_sketch._table,
-            "value": inst._value_bank._ensemble._table,
-            "ams": inst._ams._counters,
-        }
 
-    def ens(ensemble, r):
-        if ensemble._exact:
-            return {"scaled": ensemble._scaled_vectors[r]}
-        group = ensemble._value_group
-        return {
-            "main": ensemble._main._table[r],
-            "value": ensemble._value._table[r * group:(r + 1) * group],
-            "ams": ensemble._ams._counters[r],
-        }
+def _jw18_state(ensemble, r):
+    if ensemble._exact:
+        return {"scaled": ensemble._scaled_vectors[r]}
+    group = ensemble._value_group
+    return {
+        "main": ensemble._main._table[r],
+        "value": ensemble._value._table[r * group:(r + 1) * group],
+        "ams": ensemble._ams._counters[r],
+    }
 
-    return solo if kind == "solo" else ens
+
+def _fp_state(ensemble, r):
+    if ensemble._exact:
+        return {"vectors": ensemble._scaled_vectors[r]}
+    reps = ensemble._repetitions
+    return {"tables": ensemble._sketch._table[r * reps:(r + 1) * reps]}
 
 
 def _countsketch_solo_queries(inst) -> np.ndarray:
@@ -151,102 +173,101 @@ CASES = [
         "countsketch",
         lambda s: CountSketch(N, 16, 5, seed=s),
         CountSketchEnsemble,
-        lambda inst: {"table": inst._table},
         lambda ens, r: {"table": ens._table[r]},
         _countsketch_solo_queries,
         _countsketch_ensemble_queries,
+        lambda s: CountSketchReference(N, 16, 5, s),
     ),
     Case(
         "countmin",
         lambda s: CountMin(N, buckets=16, rows=5, seed=s),
         CountMinEnsemble,
-        lambda inst: {"table": inst._table},
         lambda ens, r: {"table": ens._table[r]},
         _countmin_solo_queries,
         _countmin_ensemble_queries,
+        lambda s: CountMinReference(N, 16, 5, s),
     ),
     Case(
         "ams",
         lambda s: AMSSketch(N, width=8, depth=3, seed=s),
         AMSEnsemble,
-        lambda inst: {"counters": inst._counters},
         lambda ens, r: {"counters": ens._counters[r]},
         lambda inst: [inst.estimate_f2()] * 2,
         lambda ens, r: [ens.estimate_f2_member(r), ens.estimate_f2_members()[r]],
+        lambda s: AMSReference(N, 8, 3, s),
     ),
     Case(
         "pstable-cauchy",
         lambda s: PStableSketch(N, 1.0, num_rows=24, seed=s),
         PStableEnsemble,
-        lambda inst: {"state": inst._state},
         lambda ens, r: {"state": ens._state[r]},
         lambda inst: inst.estimate_norm(),
         lambda ens, r: ens.estimate_norm_replica(r),
+        lambda s: PStableReference(N, 1.0, 24, s),
     ),
     Case(
         "pstable-fractional",
         lambda s: PStableSketch(N, 1.5, num_rows=16, seed=s),
         PStableEnsemble,
-        lambda inst: {"state": inst._state},
         lambda ens, r: {"state": ens._state[r]},
         lambda inst: inst.estimate_norm(),
         lambda ens, r: ens.estimate_norm_replica(r),
+        lambda s: PStableReference(N, 1.5, 16, s),
     ),
     Case(
         "fp-estimator-oracle",
         lambda s: MaxStabilityFpEstimator(N, 3.0, repetitions=6, seed=s,
                                           exact_recovery=True),
         FpEstimatorEnsemble,
-        lambda inst: {"vectors": inst._scaled_vectors},
-        lambda ens, r: {"vectors": ens._scaled_vectors[r]},
+        _fp_state,
         lambda inst: inst.estimate(),
         lambda ens, r: ens.estimate_replica(r),
+        lambda s: MaxStabilityReference(N, 3.0, 6, s, exact_recovery=True),
     ),
     Case(
         "fp-estimator-sketch",
         lambda s: MaxStabilityFpEstimator(N, 3.0, repetitions=5, seed=s),
         FpEstimatorEnsemble,
-        lambda inst: {"tables": inst._sketch_ensemble._table},
-        lambda ens, r: {"tables": ens.replicas[r]._sketch_ensemble._table},
+        _fp_state,
         lambda inst: inst.estimate(),
         lambda ens, r: ens.estimate_replica(r),
+        lambda s: MaxStabilityReference(N, 3.0, 5, s),
     ),
     Case(
         "jw18-sketch",
         lambda s: JW18LpSampler(N, 2.0, seed=s, value_instances=4),
         JW18LpSamplerEnsemble,
-        _jw18_state("solo"),
-        _jw18_state("ens"),
+        _jw18_state,
         lambda inst: inst.sample(),
         lambda ens, r: ens.sample_replica(r),
+        lambda s: JW18Reference(N, 2.0, s, value_instances=4),
         returns_sample=True,
     ),
     Case(
         "jw18-oracle",
         lambda s: JW18LpSampler(N, 2.0, seed=s, exact_recovery=True),
         JW18LpSamplerEnsemble,
-        _jw18_state("solo"),
-        _jw18_state("ens"),
+        _jw18_state,
         lambda inst: inst.sample(),
         lambda ens, r: ens.sample_replica(r),
+        lambda s: JW18Reference(N, 2.0, s, exact_recovery=True),
         returns_sample=True,
     ),
     Case(
         "precision",
         lambda s: PrecisionLpSampler(N, 2.0, epsilon=0.25, seed=s),
         PrecisionLpSamplerEnsemble,
-        lambda inst: {"sketch": inst._sketch._table, "ams": inst._ams._counters},
         lambda ens, r: {"sketch": ens._sketch._table[r],
                         "ams": ens._ams._counters[r]},
         lambda inst: inst.sample(),
         lambda ens, r: ens.sample_replica(r),
+        lambda s: PrecisionReference(N, 2.0, 0.25, s),
         returns_sample=True,
     ),
     Case(
         "perfect-l0",
         lambda s: PerfectL0Sampler(N, sparsity=8, seed=s),
         LevelStackEnsemble,
-        lambda inst: {},
         lambda ens, r: {},
         lambda inst: inst.sample(),
         lambda ens, r: ens.sample_replica(r),
@@ -256,7 +277,6 @@ CASES = [
         "rough-l0",
         lambda s: RoughL0Estimator(N, sparsity=10, seed=s),
         LevelStackEnsemble,
-        lambda inst: {},
         lambda ens, r: {},
         lambda inst: inst.estimate(),
         lambda ens, r: ens.replicas[r].estimate(),
@@ -265,7 +285,6 @@ CASES = [
         "cap-sampler-fallback",
         lambda s: CapSampler(N, 9.0, 2.0, seed=s, num_repetitions=4),
         SamplerEnsemble,
-        lambda inst: {},
         lambda ens, r: {},
         lambda inst: inst.sample(),
         lambda ens, r: ens.sample_replica(r),
@@ -274,33 +293,65 @@ CASES = [
 ]
 
 
+def _assert_state_equal(left: dict, right: dict, context: str) -> None:
+    assert left.keys() == right.keys(), context
+    for key in left:
+        np.testing.assert_array_equal(
+            np.asarray(left[key]), np.asarray(right[key]),
+            err_msg=f"{context}.{key}")
+
+
+def _assert_outputs_equal(case, left, right, context: str) -> None:
+    if case.returns_sample:
+        assert_samples_equal(left, right, context)
+    else:
+        np.testing.assert_array_equal(np.asarray(left), np.asarray(right),
+                                      err_msg=context)
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
 def test_ensemble_matches_standalone_replicas(case, stream) -> None:
-    """Replica state and outputs match the per-instance path bit-for-bit."""
+    """Replica state and outputs match the view of the same seed and the
+    single-sketch reference bit-for-bit."""
     solo_instances = [case.factory(seed) for seed in range(REPLICAS)]
-    for instance in solo_instances:
+    references = [(case.reference or case.factory)(seed)
+                  for seed in range(REPLICAS)]
+    for instance in solo_instances + references:
         instance.update_stream(stream)
 
     ensemble = build_ensemble([case.factory(seed) for seed in range(REPLICAS)])
     assert isinstance(ensemble, case.expected_ensemble), type(ensemble)
     ensemble.update_stream(stream)
 
-    for replica, solo in enumerate(solo_instances):
-        solo_state = case.solo_state(solo)
+    for replica, (solo, reference) in enumerate(zip(solo_instances, references)):
+        context = f"{case.name}[{replica}]"
         ens_state = case.ensemble_state(ensemble, replica)
-        assert solo_state.keys() == ens_state.keys()
-        for key in solo_state:
-            np.testing.assert_array_equal(
-                np.asarray(solo_state[key]), np.asarray(ens_state[key]),
-                err_msg=f"{case.name}[{replica}].{key}")
-        solo_out = case.solo_query(solo)
+        _assert_state_equal(case.solo_state(solo), ens_state,
+                            f"{context} view")
+        _assert_state_equal(getattr(reference, "state", dict)(), ens_state,
+                            f"{context} reference")
         ens_out = case.ensemble_query(ensemble, replica)
-        if case.returns_sample:
-            assert_samples_equal(solo_out, ens_out, f"{case.name}[{replica}]")
-        else:
+        _assert_outputs_equal(case, case.solo_query(solo), ens_out,
+                              f"{context} view")
+        _assert_outputs_equal(case, case.solo_query(reference), ens_out,
+                              f"{context} reference")
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["oracle", "sketch"])
+def test_fp_estimator_groups_match_reference(exact, stream) -> None:
+    """``FpEstimator``'s groups are the replicas of one ensemble; each
+    equals its own single-estimator reference, and so does the median."""
+    for seed in range(4):
+        view = FpEstimator(N, 3.0, groups=3, repetitions_per_group=5,
+                           seed=seed, exact_recovery=exact)
+        reference = FpEstimatorReference(N, 3.0, 3, 5, seed, exact)
+        view.update_stream(stream)
+        reference.update_stream(stream)
+        for group in range(3):
             np.testing.assert_array_equal(
-                np.asarray(solo_out), np.asarray(ens_out),
-                err_msg=f"{case.name}[{replica}]")
+                next(iter(_fp_state(view._ensemble, group).values())),
+                reference.state()[f"group{group}"])
+        assert view.estimate() == reference.estimate()
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c.returns_sample],
@@ -333,7 +384,8 @@ def test_chunked_ensemble_ingest_matches_single_batch(stream) -> None:
 
 
 def _scatter_tables(mode: str) -> list:
-    """Member tables after each chunked scatter path, in one table mode.
+    """Member tables after each chunked scatter path, in one table mode,
+    then the estimates the chunked query sweep reads from them.
 
     Batches of 7, 60 and 3000 updates take the ``np.add.at`` path (fewer
     updates than buckets) and the fused bincount, the largest splitting
@@ -357,6 +409,7 @@ def _scatter_tables(mode: str) -> list:
         tables.append(counts._table.copy())
     sketches.update_vector(rng.standard_normal(N))
     tables.append(sketches.member_tables().copy())
+    tables.append(sketches.estimate_all_members())
     return tables
 
 

@@ -155,7 +155,7 @@ class TestForkSafety:
         def ingest(seed: int) -> np.ndarray:
             sketch = CountSketch(UNIVERSE, 16, 5, seed=7, table_mode="cached")
             sketch.update_batch(stream_indices, deltas)
-            return sketch._table
+            return sketch._ensemble._table[0]
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             left, right = list(pool.map(ingest, range(2)))

@@ -75,8 +75,10 @@ class TestScalarSketchMergeProperties:
         single = CountSketch(N, 8, 3, seed=seed)
         single.update_stream(_stream(pairs))
 
-        np.testing.assert_array_equal(left._table, right._table)
-        np.testing.assert_array_equal(left._table, single._table)
+        np.testing.assert_array_equal(left._ensemble._table[0],
+                                      right._ensemble._table[0])
+        np.testing.assert_array_equal(left._ensemble._table[0],
+                                      single._ensemble._table[0])
 
     @given(update_lists, seeds)
     @settings(max_examples=30, deadline=None)
@@ -94,9 +96,12 @@ class TestScalarSketchMergeProperties:
         single = AMSSketch(N, width=6, depth=2, seed=seed)
         single.update_stream(_stream(pairs))
 
-        np.testing.assert_array_equal(forward._counters, backward._counters)
-        np.testing.assert_array_equal(forward._counters, single._counters)
-        assert forward._num_updates == single._num_updates
+        np.testing.assert_array_equal(forward._ensemble._counters[0],
+                                      backward._ensemble._counters[0])
+        np.testing.assert_array_equal(forward._ensemble._counters[0],
+                                      single._ensemble._counters[0])
+        assert (forward._ensemble._num_updates[0]
+                == single._ensemble._num_updates[0])
 
     @given(update_lists, seeds)
     @settings(max_examples=30, deadline=None)
@@ -115,11 +120,14 @@ class TestScalarSketchMergeProperties:
         single = PStableSketch(N, 1.0, num_rows=8, seed=seed)
         single.update_stream(_stream(pairs))
 
-        np.testing.assert_allclose(chained._state, nested._state,
+        np.testing.assert_allclose(chained._ensemble._state[0],
+                                   nested._ensemble._state[0],
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(chained._state, single._state,
+        np.testing.assert_allclose(chained._ensemble._state[0],
+                                   single._ensemble._state[0],
                                    rtol=1e-9, atol=1e-9)
-        assert chained._num_updates == single._num_updates
+        assert (chained._ensemble._num_updates[0]
+                == single._ensemble._num_updates[0])
 
 
 class TestEnsembleMergeProperties:
@@ -188,7 +196,8 @@ class TestEnsembleMergeProperties:
         for position in range(3):
             solo = CountSketch(N, 8, 3, seed=seed + position)
             solo.update_stream(stream)
-            np.testing.assert_array_equal(solo._table, merged._table[position])
+            np.testing.assert_array_equal(solo._ensemble._table[0],
+                                          merged._table[position])
             np.testing.assert_array_equal(solo.estimate_all(),
                                           merged.estimate_all_member(position))
 

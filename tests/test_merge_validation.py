@@ -94,7 +94,8 @@ def test_countmin_merge_is_linear_and_validated() -> None:
     full.update_batch(idx1, np.abs(del1))
     full.update_batch(idx2, np.abs(del2))
     assert left.merge(right) is left
-    np.testing.assert_array_equal(left._table, full._table)
+    np.testing.assert_array_equal(left._ensemble._table[0],
+                                  full._ensemble._table[0])
     np.testing.assert_array_equal(left.estimate_all(), full.estimate_all())
 
     alien = CountMin(N, 8, 3, seed=5)

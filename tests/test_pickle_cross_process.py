@@ -22,6 +22,7 @@ rebuild is always the code path.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -71,25 +72,26 @@ def _digest(array) -> str:
 def _digests(sketch) -> dict:
     """Digest every observable surface: counters, tables, query answers."""
     out = {}
+    ensemble = sketch._ensemble
     if isinstance(sketch, CountSketch):
-        out["table"] = _digest(sketch._table)
+        out["table"] = _digest(ensemble._table[0])
         out["estimates"] = _digest(sketch.estimate_all())
-        sketch._ensure_tables()
-        if sketch._bucket_of is not None:
-            out["bucket_of"] = _digest(sketch._bucket_of)
-            out["sign_of"] = _digest(sketch._sign_of)
+        ensemble._ensure_tables()
+        if ensemble._bucket_of is not None:
+            out["bucket_of"] = _digest(ensemble._bucket_of[0])
+            out["sign_of"] = _digest(ensemble._sign_of[0])
     elif isinstance(sketch, AMSSketch):
-        out["counters"] = _digest(sketch._counters)
+        out["counters"] = _digest(ensemble._counters[0])
         out["l2"] = repr(sketch.estimate_l2())
-        sketch._ensure_signs()
-        if sketch._signs is not None:
-            out["signs"] = _digest(sketch._signs)
+        ensemble._ensure_signs()
+        if ensemble._signs is not None:
+            out["signs"] = _digest(ensemble._signs[0])
     else:
-        out["table"] = _digest(sketch._table)
+        out["table"] = _digest(ensemble._table[0])
         out["estimates"] = _digest(sketch.estimate_all())
-        sketch._ensure_tables()
-        if sketch._bucket_of is not None:
-            out["bucket_of"] = _digest(sketch._bucket_of)
+        ensemble._ensure_tables()
+        if ensemble._bucket_of is not None:
+            out["bucket_of"] = _digest(ensemble._bucket_of[0])
     return out
 
 
@@ -149,15 +151,18 @@ def test_setstate_nulls_stale_tables(kind):
     sketch.update_batch(idx, deltas)
     expected = _digests(sketch)
 
-    state = sketch.__getstate__()
+    # The tables and the pickling rule belong to the view's ensemble.
+    ensemble = sketch._ensemble
+    state = ensemble.__getstate__()
     # Forge a snapshot from a build that kept the tables, with *stale*
     # contents: restore must discard them, not trust them.
     for name in ("_bucket_of", "_sign_of", "_signs"):
         if name in state:
             state[name] = np.zeros((2, 2))
-    restored = type(sketch).__new__(type(sketch))
-    restored.__setstate__(state)
+    restored = copy.copy(sketch)
+    restored._ensemble = type(ensemble).__new__(type(ensemble))
+    restored._ensemble.__setstate__(state)
     for name in ("_bucket_of", "_sign_of", "_signs"):
         if name in state:
-            assert getattr(restored, name) is None
+            assert getattr(restored._ensemble, name) is None
     assert _digests(restored) == expected

@@ -25,7 +25,9 @@ from repro import (AMSSketch, AveragedCountSketch, CountMin, CountSketch,
                    table_mode)
 from repro.exceptions import InvalidParameterError
 from repro.samplers.precision_sampling import PrecisionLpSampler
+from repro.sketch.fp_estimator import MaxStabilityFpEstimator
 from repro.sketch.hashing import KWiseHashFamily, SignHashFamily
+from repro.sketch.pstable import PStableSketch
 from repro.utils.batching import median_of_rows, polyval_mersenne, polyval_mersenne_at
 
 SPECIAL_VALUES = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, np.nan]
@@ -164,6 +166,15 @@ def ensembles(request):
                 [JW18LpSampler(N, 2.0, seed=s) for s in range(M)])),
             "precision": _fed(build_ensemble(
                 [PrecisionLpSampler(N, 1.5, seed=s) for s in range(M)])),
+            "pstable": _fed(build_ensemble(
+                [PStableSketch(N, 1.0, num_rows=32, seed=s) for s in range(M)])),
+            "fp-oracle": _fed(build_ensemble(
+                [MaxStabilityFpEstimator(N, 3.0, repetitions=5, seed=s,
+                                         exact_recovery=True)
+                 for s in range(M)])),
+            "fp-sketch": _fed(build_ensemble(
+                [MaxStabilityFpEstimator(N, 3.0, repetitions=5, seed=s)
+                 for s in range(M)])),
         }
 
 
@@ -184,6 +195,14 @@ MEMBER_QUERIES = {
         lambda e, m: e["jw18"].independent_value_estimates(m, 5, 2),
     "jw18.sample_replica": lambda e, m: e["jw18"].sample_replica(m),
     "precision.sample_replica": lambda e, m: e["precision"].sample_replica(m),
+    "pstable.estimate_norm_replica":
+        lambda e, m: e["pstable"].estimate_norm_replica(m),
+    "pstable.estimate_moment_replica":
+        lambda e, m: e["pstable"].estimate_moment_replica(m),
+    "fp.estimate_replica[oracle]":
+        lambda e, m: e["fp-oracle"].estimate_replica(m),
+    "fp.estimate_replica[sketch]":
+        lambda e, m: e["fp-sketch"].estimate_replica(m),
 }
 
 

@@ -119,15 +119,19 @@ def reference_independent_estimates(ensemble, replica: int, index: int,
 
 
 def reference_fp_estimate(fp_sketch) -> float:
+    """The median over the groups, each group's repetitions one range of
+    the stacked CountSketch ensemble."""
+    groups = fp_sketch._ensemble
+    reps = groups._repetitions
+    all_maxima = np.max(np.abs(reference_all_estimates(groups._sketch)), axis=1)
     estimates = []
-    for group in fp_sketch._groups:
-        maxima = np.max(np.abs(reference_all_estimates(group._sketch_ensemble)),
-                        axis=1)
+    for group in range(groups.num_replicas):
+        maxima = all_maxima[group * reps:(group + 1) * reps]
         if np.any(maxima <= 0):
             estimates.append(0.0)
             continue
-        inverse_moments = maxima ** (-group._p)
-        estimates.append(float((group._repetitions - 1) / inverse_moments.sum()))
+        inverse_moments = maxima ** (-groups._p)
+        estimates.append(float((reps - 1) / inverse_moments.sum()))
     return float(np.median(estimates))
 
 

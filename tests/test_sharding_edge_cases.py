@@ -114,7 +114,7 @@ class TestDegenerateReplicaCounts:
         assert merged.num_replicas == 3
         solo = PStableSketch(N, 1.0, num_rows=12, seed=1)
         solo.update_stream(stream)
-        np.testing.assert_array_equal(solo._state, merged._state[1])
+        np.testing.assert_array_equal(solo._ensemble._state[0], merged._state[1])
 
 
 class TestEmptyStreams:

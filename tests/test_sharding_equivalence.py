@@ -225,7 +225,8 @@ STREAM_CASES = [
         "fp-estimator-sketch",
         lambda s: MaxStabilityFpEstimator(N, 3.0, repetitions=4, buckets=8,
                                           rows=3, seed=s),
-        lambda ens, r: {"tables": ens.replicas[r]._sketch_ensemble._table},
+        lambda ens, r: {"tables": ens._sketch._table[
+            r * ens._repetitions:(r + 1) * ens._repetitions]},
         lambda ens, r: ens.estimate_replica(r),
     ),
     StreamCase(

@@ -1,4 +1,4 @@
-"""Tests for CountSketch, the averaged estimator, and the random-bucket variant."""
+"""Tests for CountSketch and the averaged estimator."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
-from repro.sketch.countsketch import AveragedCountSketch, CountSketch, RandomBucketCountSketch
+from repro.sketch.countsketch import AveragedCountSketch, CountSketch
 from repro.streams.generators import stream_from_vector, zipfian_frequency_vector
 from repro.streams.stream import TurnstileStream
 
@@ -132,37 +132,3 @@ class TestAveragedCountSketch:
             instance_errors = np.abs(bank.instance_estimates(int(i)) - heavy_vector[i])
             bank_error = abs(bank.estimate(int(i)) - heavy_vector[i])
             assert bank_error <= instance_errors.max() + 1e-9
-
-
-class TestRandomBucketCountSketch:
-    def test_single_item_recovery(self):
-        sketch = RandomBucketCountSketch(16, buckets=16, rows=7, seed=0)
-        sketch.update(5, 9.0)
-        assert sketch.estimate(5) == pytest.approx(9.0)
-
-    def test_linearity(self):
-        sketch = RandomBucketCountSketch(16, buckets=16, rows=7, seed=1)
-        sketch.update(5, 9.0)
-        sketch.update(5, -4.0)
-        assert sketch.estimate(5) == pytest.approx(5.0)
-
-    def test_unseen_item_small_estimate(self, small_vector, small_stream):
-        sketch = RandomBucketCountSketch(len(small_vector), buckets=64, rows=7, seed=2)
-        sketch.update_stream(small_stream)
-        zero_coordinate = 5  # explicitly zero in the fixture
-        assert abs(sketch.estimate(zero_coordinate)) <= np.abs(small_vector).max()
-
-    def test_heavy_item_recovered(self, heavy_vector, heavy_stream):
-        sketch = RandomBucketCountSketch(len(heavy_vector), buckets=64, rows=7, seed=3)
-        sketch.update_stream(heavy_stream)
-        heavy = int(np.argmax(np.abs(heavy_vector)))
-        assert sketch.estimate(heavy) == pytest.approx(heavy_vector[heavy], rel=0.25)
-
-    def test_out_of_range(self):
-        sketch = RandomBucketCountSketch(4, 4, 3, seed=4)
-        with pytest.raises(InvalidParameterError):
-            sketch.update(7, 1.0)
-
-    def test_space_counters(self):
-        sketch = RandomBucketCountSketch(16, buckets=8, rows=5, seed=5)
-        assert sketch.space_counters() == 40

@@ -149,15 +149,16 @@ MUTATIONS = {
 
 @pytest.fixture
 def member_estimate_calls(monkeypatch):
-    """Record every ``CountSketchEnsemble.estimate_all_members`` call."""
+    """Record every ``CountSketchEnsemble._estimate_all_range`` call: the
+    sweep that forms a range of members' estimates."""
     calls = []
-    original = CountSketchEnsemble.estimate_all_members
+    original = CountSketchEnsemble._estimate_all_range
 
     def counted(self, *args, **kwargs):
         calls.append(self)
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(CountSketchEnsemble, "estimate_all_members", counted)
+    monkeypatch.setattr(CountSketchEnsemble, "_estimate_all_range", counted)
     return calls
 
 
@@ -259,9 +260,9 @@ class TestEstimateMemo:
         # Estimators pickled before the memo existed carry exactly this
         # state: every attribute except the memo.
         state = pickle.loads(pickle.dumps(
-            {key: value for key, value in vars(original).items()
+            {key: value for key, value in vars(original._ensemble).items()
              if key != "_estimate_memo"}))
-        restored = MaxStabilityFpEstimator.__new__(MaxStabilityFpEstimator)
+        restored = FpEstimatorEnsemble.__new__(FpEstimatorEnsemble)
         restored.__setstate__(state)
-        assert bits(restored.estimate()) == bits(expected)
+        assert bits(restored.estimate_replica(0)) == bits(expected)
         assert b"_estimate_memo" not in pickle.dumps(original)

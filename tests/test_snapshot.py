@@ -231,9 +231,9 @@ def _small_snapshot(seed: int, codec) -> bytes:
 
 
 def test_zlib_flagged_snapshot_loads_and_version_2_is_refused(tmp_path) -> None:
-    """A zlib-flagged version-3 file restores to an object that answers
-    alike; a version-2 zlib file of an earlier build is refused before
-    its body is unpickled."""
+    """A zlib-flagged file of this format version restores to an object
+    that answers alike; a version-2 zlib file of an earlier build is
+    refused before its body is unpickled."""
     sketch = CountSketch(1024, 64, 5, seed=7)
     rng = np.random.default_rng(7)
     sketch.update_batch(rng.integers(0, 1024, size=4096),
@@ -308,17 +308,19 @@ class _LoadRecorder:
         return (_record_load, ("loaded",))
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_earlier_version_is_refused_before_unpickling(tmp_path,
                                                       version) -> None:
-    """A version-1 or version-2 file fails the header check; its body
-    never loads.
+    """A version-1, -2 or -3 file fails the header check; its body never
+    loads.
 
-    Version-1 ensembles reference the deleted array-backend module, and
+    Version-1 ensembles reference the deleted array-backend module,
     version-2 native ensembles carry the replica instances that format 3
-    dropped, so the header check must refuse them with a
-    :class:`SnapshotError` naming the version instead of failing inside
-    pickle or restoring an object of the wrong layout.
+    dropped, and version-3 standalone sketches and samplers keep the
+    arrays that format 4 moved into their one-replica ensembles, so the
+    header check must refuse them with a :class:`SnapshotError` naming the
+    version instead of failing inside pickle or restoring an object of the
+    wrong layout.
     """
     path = tmp_path / "recorder.rsnp"
     save_snapshot(_LoadRecorder(), path)
@@ -328,7 +330,7 @@ def test_earlier_version_is_refused_before_unpickling(tmp_path,
     _LOADED.clear()
 
     data = bytearray(path.read_bytes())
-    assert data[4] == SNAPSHOT_VERSION == 3
+    assert data[4] == SNAPSHOT_VERSION == 4
     data[4] = version
     data[5:9] = struct.pack(">I", zlib.crc32(bytes(data[:5])))
     path.write_bytes(bytes(data))

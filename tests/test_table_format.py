@@ -179,14 +179,14 @@ def test_countsketch_ensemble_matches_int64_formula(buckets, dtype, mode) -> Non
 def test_countsketch_matches_int64_formula(buckets, dtype, mode) -> None:
     sketch = CountSketch(N, buckets, ROWS, seed=9, table_mode=mode)
     wide_buckets, wide_signs = _wide_tables(
-        sketch._bucket_family, sketch._sign_family, 1)
+        sketch._ensemble._bucket_family, sketch._ensemble._sign_family, 1)
     reference = np.zeros((1, ROWS, buckets))
     for indices, deltas in _batches(buckets, _top_keys(wide_buckets, buckets)):
         sketch.update_batch(indices, deltas)
         _reference_scatter(reference, wide_buckets[:, :, indices],
                            wide_signs[:, :, indices] * deltas,
                            bincount=indices.size >= buckets)
-    np.testing.assert_array_equal(sketch._table, reference[0])
+    np.testing.assert_array_equal(sketch._ensemble._table[0], reference[0])
 
 
 @pytest.mark.parametrize("mode", TABLE_MODES)
@@ -213,14 +213,14 @@ def test_countmin_ensemble_matches_int64_formula(buckets, dtype, mode) -> None:
                          ids=[str(b) for b, _ in BUCKET_SIZES])
 def test_countmin_matches_int64_formula(buckets, dtype, mode) -> None:
     sketch = CountMin(N, buckets, ROWS, seed=9, table_mode=mode)
-    wide_buckets, _ = _wide_tables(sketch._bucket_family, None, 1)
+    wide_buckets, _ = _wide_tables(sketch._ensemble._bucket_family, None, 1)
     reference = np.zeros((1, ROWS, buckets))
     for indices, deltas in _batches(buckets, _top_keys(wide_buckets, buckets)):
         sketch.update_batch(indices, deltas)
         _reference_scatter(reference, wide_buckets[:, :, indices],
                            np.broadcast_to(deltas, (1, ROWS, deltas.size)),
                            bincount=False)
-    np.testing.assert_array_equal(sketch._table, reference[0])
+    np.testing.assert_array_equal(sketch._ensemble._table[0], reference[0])
 
 
 def test_countsketch_scalar_update_takes_python_int_deltas() -> None:
@@ -230,8 +230,9 @@ def test_countsketch_scalar_update_takes_python_int_deltas() -> None:
     sketch.update(5, 1000)
     reference = CountSketch(100, 8, 3, seed=1)
     reference.update(5, 1000.0)
-    np.testing.assert_array_equal(sketch._table, reference._table)
-    assert np.abs(sketch._table).max() == 1000.0
+    np.testing.assert_array_equal(sketch._ensemble._table[0],
+                                  reference._ensemble._table[0])
+    assert np.abs(sketch._ensemble._table[0]).max() == 1000.0
 
 
 # --------------------------------------------------------------------------
@@ -257,16 +258,16 @@ def _ams_batches():
 @pytest.mark.parametrize("mode", TABLE_MODES)
 def test_ams_sketch_matches_float64_gather_and_gemv(mode) -> None:
     sketch = AMSSketch(AMS_N, AMS_WIDTH, AMS_DEPTH, seed=4, table_mode=mode)
-    signs = _float_signs(sketch._sign_family)
+    signs = _float_signs(sketch._ensemble._sign_family)
     reference = np.zeros(AMS_WIDTH * AMS_DEPTH)
     for indices, deltas in _ams_batches():
         sketch.update_batch(indices, deltas)
         reference += signs[:, indices] @ deltas
-    np.testing.assert_array_equal(sketch._counters, reference)
+    np.testing.assert_array_equal(sketch._ensemble._counters[0], reference)
     vector = np.random.default_rng(22).standard_normal(AMS_N)
     sketch.update_vector(vector)
     reference += signs @ vector
-    np.testing.assert_array_equal(sketch._counters, reference)
+    np.testing.assert_array_equal(sketch._ensemble._counters[0], reference)
 
 
 @pytest.mark.parametrize("mode", TABLE_MODES)

@@ -49,7 +49,11 @@ from repro.sketch.countsketch import (
     CountSketch,
     CountSketchEnsemble,
 )
-from repro.sketch.fp_estimator import FpEstimatorEnsemble, MaxStabilityFpEstimator
+from repro.sketch.fp_estimator import (
+    FpEstimator,
+    FpEstimatorEnsemble,
+    MaxStabilityFpEstimator,
+)
 from repro.sketch.pstable import PStableEnsemble, PStableSketch
 from repro.streams.generators import (
     turnstile_stream_with_cancellations,
@@ -65,8 +69,8 @@ SEEDS = [11, 2**40 + 3, 7, 123456789]
 
 #: Scalar classes whose instances no native ensemble may hold.
 SCALAR_CLASSES = (CountSketch, CountMin, AMSSketch, PStableSketch,
-                  MaxStabilityFpEstimator, JW18LpSampler, PrecisionLpSampler,
-                  AveragedCountSketch)
+                  MaxStabilityFpEstimator, FpEstimator, JW18LpSampler,
+                  PrecisionLpSampler, AveragedCountSketch)
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +118,10 @@ def test_perfect_lp_sampler_pickle_carries_no_templates() -> None:
     sampler = make_perfect_lp_sampler(1024, 3, seed=0)
     assert len(pickle.dumps(sampler, protocol=5)) <= 20_000_000
     assert len(dumps_frames(sampler)) <= 300
-    # The F_2 sketch and the F_p groups are the sampler's own structures;
-    # nothing of the N L_2 samplers survives as an object.
-    assert held_scalars(sampler, allowed=(AMSSketch,
-                                          MaxStabilityFpEstimator)) == []
+    # The F_2 sketch and the F_p estimator are the sampler's own
+    # structures (one-replica views); nothing of the N L_2 samplers, or of
+    # the F_p groups, survives as an object.
+    assert held_scalars(sampler, allowed=(AMSSketch, FpEstimator)) == []
 
 
 def test_l2_ensemble_payload_carries_no_templates() -> None:
@@ -131,7 +135,6 @@ def test_l2_ensemble_payload_carries_no_templates() -> None:
 #: The array-stacked cases; the rest keep their instances as their state.
 NATIVE_CASES = [case for case in CASES
                 if case.name not in ("perfect-l0", "rough-l0",
-                                     "fp-estimator-sketch",
                                      "cap-sampler-fallback")]
 
 
@@ -268,7 +271,7 @@ def test_concat_refuses_mismatched_shared_values() -> None:
 # Stale replicas are refused, and the fallback keeps their state
 # ---------------------------------------------------------------------------
 
-#: The seven native types: ``(native class, factory, query)``.  ``query``
+#: The native types, F_p in both modes: ``(native class, factory, query)``.  ``query``
 #: answers from a standalone instance and consumes nothing it would not.
 STALE_TYPES = {
     "countsketch": (CountSketchEnsemble,
@@ -286,6 +289,9 @@ STALE_TYPES = {
     "fp-oracle": (FpEstimatorEnsemble,
                   lambda s: MaxStabilityFpEstimator(N, 3.0, repetitions=6, seed=s,
                                                     exact_recovery=True),
+                  lambda inst: inst.estimate()),
+    "fp-sketch": (FpEstimatorEnsemble,
+                  lambda s: MaxStabilityFpEstimator(N, 3.0, repetitions=5, seed=s),
                   lambda inst: inst.estimate()),
     "jw18": (JW18LpSamplerEnsemble,
              lambda s: JW18LpSampler(N, 2.0, seed=s, value_instances=4),
