@@ -81,7 +81,9 @@ checkpoint:
 subprocess serving one object over loopback TCP — concurrent ingest and
 allowlisted queries, periodic checkpoints, restore-on-start after a
 crash (see ``repro/service/sampler_service.py`` for the consistency
-model and deployment posture).
+model and deployment posture).  The service and the distributed workers
+run on one server core, so with ``REPRO_CLUSTER_SECRET`` set both refuse
+any peer that fails the handshake before they unpickle a byte.
 
 Execution config
 ----------------

@@ -47,6 +47,7 @@ from repro.utils.batching import (
 from repro.utils.ensemble import (
     ReplicaEnsemble,
     ReplicaView,
+    group_chunks,
     member_chunks,
     register_ensemble,
     require_replicas,
@@ -432,14 +433,12 @@ class CountSketchEnsemble(BucketTableEnsemble):
         cells_per_member = self._rows * self._buckets
         # Chunk along whole replica groups so the per-group delta rows
         # broadcast cleanly and no member range is visited twice.
-        for group_start, group_stop in member_chunks(
-                groups, per_group * self._rows * batch):
-            start = group_start * per_group
-            stop = group_stop * per_group
+        for start, stop, group_start, group_stop in group_chunks(
+                groups, per_group, self._rows * batch):
             buckets, signs = self._member_columns(start, stop, indices)
             chunk = stop - start
-            if groups == 1:
-                values = signs * deltas[0]
+            if group_stop - group_start == 1:
+                values = signs * deltas[group_start]
             else:
                 block = deltas[group_start:group_stop]
                 values = (signs.reshape(group_stop - group_start, per_group,

@@ -49,11 +49,16 @@ without import cycles:
     table-consuming sketches use to share or stream their per-coordinate
     tables; all modes are bit-identical.
 ``transport``
-    The socket wire format of the distributed back-end: CRC-covered
+    The socket wire format of both servers: CRC-covered
     length-prefixed frames around pickle protocol 5 with out-of-band
     buffers, negotiated per-frame compression, and the mutual
     HMAC-SHA256 cluster-secret handshake run before any payload byte is
     unpickled.
+``server``
+    The one request/reply server core of both daemons, the distributed
+    worker and the sampler service: each is an op table on its
+    handshake-first asyncio loop.  It also owns the client connection
+    and the spawn/stop harness of their subprocesses.
 ``coordinator``
     The scatter/gather layer over ``transport``: worker processes
     (``serve_worker`` / ``spawn_local_workers``), the

@@ -46,10 +46,11 @@ giving up.  Only then does it degrade to in-process serial ingest — same
 bits, no sockets.  Rejoins, retries, and backoff time are all reported in
 :class:`GatherStats`.
 
-Workers (:func:`serve_worker`) are deliberately dumb: accept one
-coordinator connection, run the handshake, cache streams by slot (the
-same install-once-per-worker dedup as the multiprocessing back-end's pool
-initializer), ingest shard ensembles on request, and ship them back.
+Workers (:func:`serve_worker`) are deliberately dumb: an ``echo``/
+``ingest`` op table on the server core of :mod:`repro.utils.server`, they
+cache streams by slot per connection (the same install-once-per-worker
+dedup as the multiprocessing back-end's pool initializer), ingest shard
+ensembles on request, and ship them back.
 Spawn localhost workers in-process-tree with :func:`spawn_local_workers`
 (the CI harness and the fault-injection suite do), or run
 ``python -m repro.utils.coordinator --serve`` on any host.
@@ -57,13 +58,15 @@ Spawn localhost workers in-process-tree with :func:`spawn_local_workers`
 Security and deployment model
 -----------------------------
 
-**Threat model.**  A shard payload is a pickle: anyone who can make this
-process unpickle bytes of their choosing owns the process (arbitrary code
-execution), so the boundary that matters is *who can get bytes accepted
-by the unpickler*.  Three tiers:
+**Threat model.**  It holds for both servers of the library, these
+workers and the sampler service of :mod:`repro.service.sampler_service`,
+which run on that one core.  A shard payload or a service request is a
+pickle: anyone who can make a server unpickle bytes of their choosing
+owns the process (arbitrary code execution), so the boundary that matters
+is *who can get bytes accepted by the unpickler*.  Three tiers:
 
 1. **Trusted single host (default).**  No cluster secret configured;
-   workers bind localhost.  Anything on the machine can connect — the
+   servers bind localhost.  Anything on the machine can connect — the
    same trust boundary as the multiprocessing back-end's pipes.  This is
    the mode the test-suite and CI harnesses use.
 2. **Shared-secret cluster (LAN you mostly trust).**  Distribute one
@@ -73,8 +76,8 @@ by the unpickler*.  Three tiers:
    starts with the HMAC-SHA256 challenge/response of
    :func:`repro.utils.transport.client_handshake` /
    :func:`~repro.utils.transport.server_handshake`: fresh 32-byte nonces
-   both ways, mutual proofs (the coordinator unpickles worker replies,
-   so workers must authenticate the coordinator *and vice versa*), and
+   both ways, mutual proofs (a client unpickles the server's replies, so
+   servers must authenticate clients *and vice versa*), and
    the negotiated protocol version + compression codec bound into the
    proofs so a man in the middle cannot downgrade either.  **No pickle
    bytes are read before the handshake completes** — an unauthenticated
@@ -93,18 +96,17 @@ by the unpickler*.  Three tiers:
 **Secret distribution and rotation.**  The secret is a shared symmetric
 key: provision it out of band (config management, container secrets),
 never on the command line (visible in ``ps``).  Rotation is restart-time
-only — there is no re-keying protocol; restart workers with the new
-secret, then coordinators.  A worker refuses mismatched coordinators (and
-logs to stderr) without dying, so a mid-rotation fleet degrades to
-"stale coordinators can't dispatch" rather than crashing.
+only — there is no re-keying protocol; restart servers with the new
+secret, then clients.  A server refuses mismatched clients (and logs to
+stderr) without dying, so a mid-rotation fleet degrades to "stale
+coordinators can't dispatch" rather than crashing.
 
 **Compression** is negotiated per connection (off unless the coordinator
-offers it — see ``DistributedExecutor(compression=...)``): zlib always,
-lz4 when installed, chosen in the same hello that carries the auth
-challenge, applied per frame above a size threshold so control messages
-stay cheap.  Corrupted compressed frames fail the CRC *before*
-decompression and surface as dead-worker re-dispatch like every other
-transport fault.
+offers it — see ``DistributedExecutor(compression=...)``): zlib, chosen
+in the same hello that carries the auth challenge, applied per frame
+above a size threshold so control messages stay cheap.  Corrupted
+compressed frames fail the CRC *before* decompression and surface as
+dead-worker re-dispatch like every other transport fault.
 
 Remaining gaps, recorded in ROADMAP.md: native TLS on the socket (today:
 tunnel), and dynamic worker discovery/registration (today: static
@@ -118,10 +120,7 @@ import math
 import os
 import random
 import signal
-import socket
-import subprocess
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -134,22 +133,27 @@ from repro.evaluation.distribution_tests import (
     RETRY_SPARE_MARGIN,
 )
 from repro.exceptions import InvalidParameterError, ReproError
+from repro.utils.server import (
+    UNSET,
+    Connection,
+    Server,
+    parse_address,
+    resolve_secret,
+    run,
+    spawn,
+    stop,
+)
 from repro.utils.transport import (
     DEFAULT_MIN_COMPRESS_BYTES,
     AuthenticationError,
     TransportError,
     available_codecs,
-    client_handshake,
     dumps_frames,
     frames_as_bytes,
     frames_nbytes,
     loads_frames,
     recv_frames_counted,
-    recv_message,
-    resolve_cluster_secret,
     send_frames,
-    send_message,
-    server_handshake,
 )
 
 __all__ = [
@@ -179,9 +183,6 @@ DEFAULT_HEARTBEAT_TIMEOUT = 60.0
 #: Seconds allowed for the TCP connect + handshake + heartbeat probe of
 #: one worker.
 DEFAULT_CONNECT_TIMEOUT = 5.0
-#: Seconds a worker allows an accepted connection to finish the handshake
-#: (a connect-and-stall client must not pin the accept loop forever).
-HANDSHAKE_TIMEOUT = 30.0
 
 #: Environment variables understood by workers / the default registry.
 WORKERS_ENV = "REPRO_DISTRIBUTED_WORKERS"
@@ -189,9 +190,6 @@ INGEST_DELAY_ENV = "REPRO_WORKER_INGEST_DELAY"
 #: Fault hook for the stop-harness tests: a worker started with this set
 #: ignores SIGTERM, pinning :func:`stop_local_workers`' kill fallback.
 IGNORE_TERM_ENV = "REPRO_WORKER_IGNORE_TERM"
-
-_READY_PREFIX = "REPRO-WORKER LISTENING "
-_UNSET = object()  # "resolve from the environment" sentinel for secrets
 
 
 class WorkerError(ReproError):
@@ -292,32 +290,6 @@ class RetryPolicy:
         raise AssertionError("unreachable")  # pragma: no cover
 
 
-def parse_address(address) -> tuple[str, int]:
-    """Normalise ``"host:port"`` strings / ``(host, port)`` pairs."""
-    if isinstance(address, str):
-        host, sep, port = address.rpartition(":")
-        if not sep or not host:
-            raise InvalidParameterError(
-                f"worker address must look like 'host:port', got {address!r}")
-        return host, int(port)
-    host, port = address
-    return str(host), int(port)
-
-
-def _nodelay(sock: socket.socket) -> None:
-    """Disable Nagle on a connection socket.
-
-    The protocol is strictly request/response with small framed
-    handshake messages; leaving Nagle on costs a delayed-ACK stall
-    (~40 ms each) per handshake leg, which dwarfs the actual localhost
-    round trip by orders of magnitude.
-    """
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:
-        pass  # non-TCP sockets (e.g. test socketpairs) have no Nagle
-
-
 def _codec_offer(compression: Optional[str]):
     """Map a ``compression`` knob to the handshake codec offer.
 
@@ -366,100 +338,21 @@ def _handle_ingest(message: dict, stream_cache: dict) -> dict:
 
 
 def serve_worker(host: str = "127.0.0.1", port: int = 0, *,
-                 secret=_UNSET, codecs: Optional[Sequence[str]] = None) -> None:
-    """Run a worker: accept coordinator connections until told to stop.
+                 secret=UNSET, codecs: Optional[Sequence[str]] = None) -> None:
+    """Run a worker until a ``shutdown`` op or SIGTERM (exit status 0).
 
-    Announces the bound port on stdout as ``REPRO-WORKER LISTENING <port>``
-    (how :func:`spawn_local_workers` learns auto-assigned ports) and then
-    serves one coordinator connection at a time.  Every connection starts
-    with the version/codec/auth handshake — ``secret`` defaults to
-    :func:`~repro.utils.transport.resolve_cluster_secret` (the
-    ``REPRO_CLUSTER_SECRET`` / ``REPRO_CLUSTER_SECRET_FILE`` environment),
-    and a failed or mismatched handshake refuses the connection (logged
-    to stderr) without reading any pickled payload and without killing
-    the worker.  Per-connection state is a stream cache keyed by slot;
-    per-message ingest failures are reported back as ``{"ok": False}``
-    replies, transport failures drop the connection and wait for the next
-    coordinator.
-
-    When running in the main thread the worker installs a SIGTERM handler
-    that raises :class:`SystemExit` — so :func:`stop_local_workers`'
-    ``terminate()`` closes the listener and exits with status 0 instead
-    of riding the wait-then-kill fallback.  Setting
-    :data:`IGNORE_TERM_ENV` makes the worker ignore SIGTERM instead (the
-    fault hook that pins the kill fallback in tests).
+    The worker is the ``echo``/``ingest`` op table on the server core
+    (:mod:`repro.utils.server`), whose handshake takes ``secret`` (default:
+    the environment's).  A connection's state is its stream cache, keyed
+    by slot.  :data:`IGNORE_TERM_ENV` makes the worker ignore SIGTERM (the
+    fault hook that pins :func:`stop_local_workers`' kill fallback).
     """
-    if secret is _UNSET:
-        secret = resolve_cluster_secret()
-    listener = socket.create_server((host, port))
-    if threading.current_thread() is threading.main_thread():
-        if os.environ.get(IGNORE_TERM_ENV, "") not in ("", "0"):
-            signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        else:
-            def _graceful_exit(signum, frame):
-                raise SystemExit(0)
-
-            signal.signal(signal.SIGTERM, _graceful_exit)
-    try:
-        print(f"{_READY_PREFIX}{listener.getsockname()[1]}", flush=True)
-        while True:
-            conn, _ = listener.accept()
-            stream_cache: dict = {}
-            with conn:
-                _nodelay(conn)
-                conn.settimeout(HANDSHAKE_TIMEOUT)
-                try:
-                    negotiated = server_handshake(conn, secret=secret,
-                                                  codecs=codecs)
-                except AuthenticationError as error:
-                    print(f"refused connection: {error}",
-                          file=sys.stderr, flush=True)
-                    continue
-                except TransportError:
-                    continue  # garbled hello / peer went away mid-handshake
-                conn.settimeout(None)
-                codec = negotiated.codec
-                while True:
-                    # Any transport failure here — a torn request, or a
-                    # reply send into a connection the coordinator already
-                    # abandoned (it declared us dead mid-ingest) — drops
-                    # the connection and awaits the next coordinator; it
-                    # must never kill the worker.
-                    try:
-                        message = recv_message(conn)
-                        if not isinstance(message, dict):
-                            send_message(conn, {"ok": False,
-                                                "error": "malformed message"},
-                                         compression=codec)
-                            continue
-                        op = message.get("op")
-                        if op == "ping":
-                            send_message(conn, {"op": "pong"},
-                                         compression=codec)
-                        elif op == "echo":
-                            send_message(
-                                conn, {"ok": True,
-                                       "payload": message.get("payload")},
-                                compression=codec)
-                        elif op == "shutdown":
-                            send_message(conn, {"ok": True}, compression=codec)
-                            return
-                        elif op == "ingest":
-                            try:
-                                reply = _handle_ingest(message, stream_cache)
-                            except Exception as error:  # ship, don't die
-                                reply = {"ok": False,
-                                         "error":
-                                         f"{type(error).__name__}: {error}"}
-                            send_message(conn, reply, compression=codec)
-                        else:
-                            send_message(conn, {"ok": False,
-                                                "error": f"unknown op {op!r}"},
-                                         compression=codec)
-                    except TransportError:
-                        break  # coordinator went away; await the next one
-    finally:
-        listener.close()
+    if os.environ.get(IGNORE_TERM_ENV, "") not in ("", "0"):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    run(Server({"echo": lambda message, state: {
+                    "ok": True, "payload": message.get("payload")},
+                "ingest": _handle_ingest},
+               host=host, port=port, secret=secret, codecs=codecs))
 
 
 def spawn_local_workers(num_workers: int, *, env: Optional[dict] = None,
@@ -482,96 +375,34 @@ def spawn_local_workers(num_workers: int, *, env: Optional[dict] = None,
     if ports is not None and len(ports) != num_workers:
         raise InvalidParameterError(
             f"got {len(ports)} ports for {num_workers} workers")
-    src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    merged_env = dict(os.environ)
-    existing = merged_env.get("PYTHONPATH")
-    merged_env["PYTHONPATH"] = (src_dir if not existing
-                                else src_dir + os.pathsep + existing)
-    if env:
-        merged_env.update({key: str(value) for key, value in env.items()})
-    processes = []
-    addresses = []
-    try:
-        for index in range(num_workers):
-            port = 0 if ports is None else int(ports[index])
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.utils.coordinator",
-                 "--serve", "--host", "127.0.0.1", "--port", str(port)],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                text=True, env=merged_env)
-            processes.append(process)
-        deadline = time.monotonic() + startup_timeout
-        for process in processes:
-            line = process.stdout.readline()
-            while line and not line.startswith(_READY_PREFIX):
-                line = process.stdout.readline()  # skip interpreter noise
-            if not line.startswith(_READY_PREFIX):
-                stderr = ""
-                if process.poll() is not None:
-                    stderr = process.stderr.read()
-                raise TransportError(
-                    "worker subprocess failed to announce a port"
-                    + (f": {stderr.strip()}" if stderr else ""))
-            if time.monotonic() > deadline:
-                raise TransportError("worker start-up exceeded "
-                                     f"{startup_timeout}s")
-            addresses.append(("127.0.0.1", int(line[len(_READY_PREFIX):])))
-    except Exception:
-        stop_local_workers(processes)
-        raise
-    return processes, addresses
+    ports = [0] * num_workers if ports is None else ports
+    return spawn([["repro.utils.coordinator", "--serve", "--host",
+                   "127.0.0.1", "--port", str(int(port))] for port in ports],
+                 name="worker", env=env, startup_timeout=startup_timeout)
 
 
 def stop_local_workers(processes: Sequence, *, wait_timeout: float = 5.0) -> None:
-    """Terminate (then kill) worker subprocesses from :func:`spawn_local_workers`.
-
-    The SIGTERM handler installed by :func:`serve_worker` makes the
-    terminate path exit promptly; a worker that ignores SIGTERM (wedged,
-    or running with :data:`IGNORE_TERM_ENV`) is killed after
-    ``wait_timeout`` seconds.
-    """
-    for process in processes:
-        if process.poll() is None:
-            process.terminate()
-    for process in processes:
-        try:
-            process.wait(timeout=wait_timeout)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-        for pipe in (process.stdout, process.stderr):
-            if pipe is not None:
-                pipe.close()
+    """Terminate workers from :func:`spawn_local_workers` (exit status 0);
+    kill those that ignore SIGTERM (wedged, or :data:`IGNORE_TERM_ENV`)."""
+    stop(processes, wait_timeout=wait_timeout)
 
 
 def shutdown_worker(address, *, timeout: float = DEFAULT_CONNECT_TIMEOUT,
                     retry: Optional[RetryPolicy] = None,
-                    secret=_UNSET) -> bool:
+                    secret=UNSET) -> bool:
     """Politely stop one worker; ``True`` when it acknowledged.
 
     Connect failures are retried under ``retry`` when given.  A worker
     that cannot be reached (or refuses the handshake) yields ``False`` —
     shutdown is best-effort by design.
     """
-    host, port = parse_address(address)
-    if secret is _UNSET:
-        secret = resolve_cluster_secret()
-
     def attempt() -> bool:
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            _nodelay(sock)
-            sock.settimeout(timeout)
-            negotiated = client_handshake(sock, secret=secret, codecs=())
-            send_message(sock, {"op": "shutdown"},
-                         compression=negotiated.codec)
-            reply = recv_message(sock)
-            return bool(isinstance(reply, dict) and reply.get("ok"))
+        with Connection(address, timeout=timeout, secret=secret) as link:
+            reply = link.request({"op": "shutdown"})
+        return bool(isinstance(reply, dict) and reply.get("ok"))
 
     try:
-        if retry is not None:
-            return retry.call(attempt)
-        return attempt()
+        return retry.call(attempt) if retry is not None else attempt()
     except (OSError, TransportError, AuthenticationError):
         return False
 
@@ -580,7 +411,7 @@ def worker_echo(address, payload, *,
                 timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
                 retry: Optional[RetryPolicy] = None,
                 compression: Optional[str] = None,
-                secret=_UNSET) -> object:
+                secret=UNSET) -> object:
     """Round-trip ``payload`` through a worker (transport benchmarking).
 
     Reachability failures are wrapped into :class:`WorkerError` carrying
@@ -593,23 +424,14 @@ def worker_echo(address, payload, *,
     mismatch.
     """
     host, port = parse_address(address)
-    if secret is _UNSET:
-        secret = resolve_cluster_secret()
 
     def attempt():
-        with socket.create_connection((host, port), timeout=timeout) as sock:
-            _nodelay(sock)
-            sock.settimeout(timeout)
-            negotiated = client_handshake(sock, secret=secret,
-                                          codecs=_codec_offer(compression))
-            send_message(sock, {"op": "echo", "payload": payload},
-                         compression=negotiated.codec)
-            return recv_message(sock)
+        with Connection((host, port), timeout=timeout, secret=secret,
+                        codecs=_codec_offer(compression)) as link:
+            return link.request({"op": "echo", "payload": payload})
 
     try:
         reply = retry.call(attempt) if retry is not None else attempt()
-    except AuthenticationError:
-        raise
     except (OSError, TransportError) as error:
         raise WorkerError(
             f"echo to worker {host}:{port} failed: {error}") from error
@@ -683,60 +505,42 @@ class GatherStats:
     compression: Optional[str] = None
 
 
-class _WorkerLink:
+class _WorkerLink(Connection):
     """One live coordinator-to-worker connection with in-flight bookkeeping."""
 
     def __init__(self, address: tuple[str, int], *, connect_timeout: float,
                  reply_timeout: float, secret: Optional[bytes] = None,
                  codecs=None,
                  min_compress_bytes: int = DEFAULT_MIN_COMPRESS_BYTES) -> None:
-        self.address = address
-        self.sock = socket.create_connection(address, timeout=connect_timeout)
+        super().__init__(address, timeout=connect_timeout, secret=secret,
+                         codecs=codecs)
         try:
-            _nodelay(self.sock)
-            self.sock.settimeout(connect_timeout)
-            self.negotiated = client_handshake(self.sock, secret=secret,
-                                               codecs=codecs)
-            send_message(self.sock, {"op": "ping"})
-            reply = recv_message(self.sock)
+            reply = self.request({"op": "ping"})
             if not (isinstance(reply, dict) and reply.get("op") == "pong"):
                 raise TransportError(f"worker {address} failed the heartbeat "
                                      f"probe: {reply!r}")
         except BaseException:
-            self.close()  # no half-open sockets on handshake/probe failure
+            self.close()  # no half-open sockets on a failed probe
             raise
         self.sock.settimeout(reply_timeout)
-        self.codec = self.negotiated.codec
         self.min_compress_bytes = min_compress_bytes
         self.installed_slots: set[int] = set()
         self.inflight: list[int] = []  # shard ids, in send order
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     def send(self, frames) -> int:
         """Send one framed message on the negotiated codec; wire bytes."""
-        sent = send_frames(self.sock, frames, compression=self.codec,
+        return send_frames(self.sock, frames, compression=self.codec,
                            min_compress_bytes=self.min_compress_bytes)
-        self.bytes_sent += sent
-        return sent
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
 
 
+
+@dataclass
 class _ProbeState:
     """Backoff bookkeeping for one dead/unreachable worker address."""
 
-    __slots__ = ("delay", "next_time", "was_reachable")
-
-    def __init__(self, delay: float, next_time: float,
-                 was_reachable: bool) -> None:
-        self.delay = delay
-        self.next_time = next_time
-        self.was_reachable = was_reachable
+    delay: float
+    next_time: float
+    was_reachable: bool
 
 
 class DistributedExecutor:
@@ -781,7 +585,7 @@ class DistributedExecutor:
                  failure_rate_prior: float = 0.0,
                  retry_policy: Optional[RetryPolicy] = None,
                  compression: Optional[str] = None,
-                 secret=_UNSET,
+                 secret=UNSET,
                  min_compress_bytes: int = DEFAULT_MIN_COMPRESS_BYTES) -> None:
         if not (0.0 <= failure_rate_prior < 1.0):
             raise InvalidParameterError(
@@ -798,7 +602,7 @@ class DistributedExecutor:
         self._observed = failure_rate_prior > 0.0
         self._retry_policy = RetryPolicy() if retry_policy is None else retry_policy
         self._compression = compression
-        self._secret = resolve_cluster_secret() if secret is _UNSET else secret
+        self._secret = resolve_secret(secret)
         self._min_compress_bytes = int(min_compress_bytes)
         self.last_stats: Optional[GatherStats] = None
 
@@ -889,15 +693,15 @@ class DistributedExecutor:
             connect_retries += 1
             backoff_seconds += delay
 
+        def ingest_op(shard: int, stream) -> dict:
+            return {"op": "ingest", "slot": shard_slot[shard],
+                    "stream": stream, "ensemble": ensembles[shard],
+                    "batch_size": batch_size}
+
         def frames_for(shard: int) -> list[bytes]:
-            if shard not in shard_frames:
-                shard_frames[shard] = frames_as_bytes(dumps_frames({
-                    "op": "ingest",
-                    "slot": shard_slot[shard],
-                    "stream": None,  # patched per-link by _send below
-                    "ensemble": ensembles[shard],
-                    "batch_size": batch_size,
-                }))
+            if shard not in shard_frames:  # stream-less: see _send below
+                shard_frames[shard] = frames_as_bytes(
+                    dumps_frames(ingest_op(shard, None)))
             return shard_frames[shard]
 
         def _send(link: _WorkerLink, shard: int) -> None:
@@ -906,11 +710,7 @@ class DistributedExecutor:
             if slot not in link.installed_slots:
                 # First shard of this slot on this worker: ship the stream
                 # alongside (the cached frames carry `stream: None`).
-                message = {"op": "ingest", "slot": slot,
-                           "stream": slot_payload[slot],
-                           "ensemble": ensembles[shard],
-                           "batch_size": batch_size}
-                frames = dumps_frames(message)
+                frames = dumps_frames(ingest_op(shard, slot_payload[slot]))
                 frames_for(shard)  # retain the stream-less copy for re-dispatch
             else:
                 frames = frames_for(shard)
@@ -924,7 +724,9 @@ class DistributedExecutor:
 
         def mark_dead(link: _WorkerLink) -> None:
             nonlocal dead, recovery_deadline
-            self._kill(link, links)
+            link.close()
+            if link in links:
+                links.remove(link)
             dead += 1
             if recovery_deadline is None:
                 recovery_deadline = time.monotonic() + policy.deadline
@@ -1012,7 +814,6 @@ class DistributedExecutor:
                                 f"worker {link.address} failed shard {shard}: "
                                 f"{reply.get('error') if isinstance(reply, dict) else reply!r}")
                         wire_received += wire
-                        link.bytes_received += wire
                         bytes_received += frames_nbytes(frames)
                         results[shard] = reply["ensemble"]
                 return lost
@@ -1097,12 +898,6 @@ class DistributedExecutor:
             compression=";".join(negotiated) if negotiated else None,
         )
         return results
-
-    @staticmethod
-    def _kill(link: _WorkerLink, links: list) -> None:
-        link.close()
-        if link in links:
-            links.remove(link)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,7 @@ __all__ = [
     "registered_ensemble_builder",
     "build_ensemble",
     "ensemble_samples",
+    "group_chunks",
     "member_chunks",
 ]
 
@@ -548,3 +549,17 @@ def member_chunks(num_members: int, per_member_elements: int):
     chunk = max(1, SCATTER_CHUNK_ELEMENTS // per_member_elements)
     for start in range(0, num_members, chunk):
         yield start, min(num_members, start + chunk)
+
+
+def group_chunks(groups: int, per_group: int, per_member_elements: int):
+    """Yield ``(start, stop, group_start, group_stop)``: member ranges of
+    whole delta groups under :data:`SCATTER_CHUNK_ELEMENTS`, except that a
+    group which alone exceeds the cap is split into member chunks."""
+    if per_group * per_member_elements <= SCATTER_CHUNK_ELEMENTS:
+        for lo, hi in member_chunks(groups, per_group * per_member_elements):
+            yield lo * per_group, hi * per_group, lo, hi
+        return
+    for group in range(groups):
+        first = group * per_group
+        for lo, hi in member_chunks(per_group, per_member_elements):
+            yield first + lo, first + hi, group, group + 1

@@ -2,11 +2,12 @@
 
 The host-level distributed backend (:mod:`repro.utils.coordinator`) moves
 replica- and stream-shard payloads between a coordinator and worker
-processes over TCP.  This module owns the wire format *and* the
-connection-setup handshake; it knows nothing about ensembles or streams —
-it ships arbitrary picklable objects as *frame lists*, verifies their
-integrity end to end, and authenticates the peers before a single pickle
-byte is accepted.
+processes over TCP, and the sampler service takes its requests the same
+way: both servers run on :mod:`repro.utils.server`.  This module owns
+the wire format *and* the connection-setup handshake; it knows nothing
+about ensembles or streams — it ships arbitrary picklable objects as
+*frame lists*, verifies their integrity end to end, and authenticates the
+peers before a single pickle byte is accepted.
 
 Serialisation: pickle protocol 5 with out-of-band buffers
     Payloads are pickled at :data:`PICKLE_PROTOCOL`
@@ -40,8 +41,7 @@ Wire format version 2 (one *message* per payload, integers big-endian)::
 
 Compression
     :func:`send_frames` optionally compresses each frame with a named
-    codec from :data:`available_codecs` (``zlib`` always; ``lz4`` when the
-    package is importable — never a hard dependency).  Frames smaller than
+    codec from :data:`available_codecs` (``zlib``).  Frames smaller than
     ``min_compress_bytes`` bypass compression, so control messages (pings,
     handshakes, shard acks) stay cheap; a frame that fails to shrink is
     sent raw.  The codec in use is negotiated per connection by the
@@ -156,8 +156,6 @@ _MAX_FRAME_BYTES = 1 << 40
 #: Pre-authentication cap: handshake messages are tiny JSON, so anything
 #: above this is garbage (or an attacker feeding bytes before auth).
 HANDSHAKE_MAX_FRAME_BYTES = 1 << 20
-#: recv() chunk size for large frames.
-_RECV_CHUNK = 1 << 20
 #: :func:`loads_frames` unpickles a writable buffer in place only at this
 #: alignment.  numpy rebuilds an out-of-band array as a view of its
 #: buffer, and a float64 view that is not 8-byte aligned is summed in
@@ -225,36 +223,18 @@ def _zlib_decompress(data: bytes, raw_length: int) -> bytes:
     return out
 
 
-#: name -> (flags value, compress, decompress(data, raw_length)).
+#: name -> (flags value, compress, decompress(data, raw_length)), in
+#: the preference order offered in the handshake.
 _CODECS: dict = {
     "zlib": (1, lambda data: zlib.compress(data, 6), _zlib_decompress),
 }
-try:  # optional, never a hard dependency
-    import lz4.frame as _lz4frame
-except ImportError:  # pragma: no cover - container has no lz4
-    _lz4frame = None
-else:  # pragma: no cover - exercised only where lz4 is installed
-    def _lz4_decompress(data: bytes, raw_length: int) -> bytes:
-        try:
-            out = _lz4frame.decompress(data)
-        except RuntimeError as error:
-            raise TransportError(f"lz4 decompression failed: {error}") from error
-        if len(out) != raw_length:
-            raise TransportError("compressed frame longer than its declared "
-                                 "raw length")
-        return out
-
-    _CODECS["lz4"] = (2, _lz4frame.compress, _lz4_decompress)
-
 _FLAG_DECODERS = {flag: (name, decompress)
                   for name, (flag, _, decompress) in _CODECS.items()}
-#: Preference order offered in the handshake (fastest first).
-_CODEC_PREFERENCE = ("lz4", "zlib")
 
 
 def available_codecs() -> tuple[str, ...]:
     """Compression codecs this build can speak, in preference order."""
-    return tuple(name for name in _CODEC_PREFERENCE if name in _CODECS)
+    return tuple(_CODECS)
 
 
 def _codec_compressor(name: str) -> Callable[[bytes], bytes]:
@@ -299,12 +279,13 @@ def _usable_in_place(frame) -> bool:
 def loads_frames(frames: Sequence) -> object:
     """Rebuild the object serialised by :func:`dumps_frames`.
 
-    Out-of-band buffer frames arriving read-only (everything that crossed
-    a socket or a pool queue, or views of an immutable ``bytes`` message)
-    are copied into mutable ``bytearray``\\ s first: numpy reconstructs an
-    out-of-band array as a zero-copy view over its buffer, inheriting the
-    buffer's writability, and a read-only ensemble state could not ingest
-    further updates.  So are writable buffers that are not aligned (see
+    Out-of-band buffer frames arriving read-only (frames that crossed a
+    pool queue or an asyncio stream, decompressed frames, or views of an
+    immutable ``bytes`` message) are copied into mutable
+    ``bytearray``\\ s first: numpy reconstructs an out-of-band array as a
+    zero-copy view over its buffer, inheriting the buffer's writability,
+    and a read-only ensemble state could not ingest further updates.  So
+    are writable buffers that are not aligned (see
     :data:`_BUFFER_ALIGNMENT`).  Every other writable buffer passes
     through zero-copy — which also means it *aliases* the original; force
     the copy (e.g. via :func:`frames_as_bytes`) when an independent clone
@@ -401,20 +382,32 @@ def send_frames(sock: socket.socket, frames: Sequence, *,
     return total
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    """Read exactly ``size`` bytes or raise on EOF/timeout/reset."""
-    received = bytearray()
-    while len(received) < size:
+def _recv_exact(sock: socket.socket, size: int) -> bytearray:
+    """Read exactly ``size`` bytes or raise on EOF/timeout/reset.
+
+    The bytes land in one preallocated ``bytearray`` through ``recv_into``:
+    read once, never copied, writable and aligned as allocated, so
+    :func:`loads_frames` uses a received frame in place (as it does the
+    frames of :func:`read_frames`).  Never reads past ``size``: the bytes
+    after a handshake belong to whoever reads the socket next.
+    """
+    try:
+        received = bytearray(size)
+    except MemoryError as error:  # a corrupted length field, in practice
+        raise TransportError(f"cannot buffer a {size}-byte frame") from error
+    view = memoryview(received)
+    got = 0
+    while got < size:
         try:
-            chunk = sock.recv(min(size - len(received), _RECV_CHUNK))
+            count = sock.recv_into(view[got:])
         except OSError as error:
             raise TransportError(
-                f"recv failed at {len(received)}/{size} bytes: {error}") from error
-        if not chunk:
+                f"recv failed at {got}/{size} bytes: {error}") from error
+        if not count:
             raise TransportError(
-                f"connection closed mid-frame ({len(received)}/{size} bytes)")
-        received += chunk
-    return bytes(received)
+                f"connection closed mid-frame ({got}/{size} bytes)")
+        got += count
+    return received
 
 
 def frame_reader(*, max_frame_bytes: int = _MAX_FRAME_BYTES):
@@ -498,14 +491,18 @@ def _read_frames(read_exact: Callable[[int], bytes], *,
 
 def recv_frames_counted(sock: socket.socket, *,
                         max_frame_bytes: int = _MAX_FRAME_BYTES,
-                        ) -> tuple[list[bytes], int]:
-    """Read one framed message; returns ``(frames, wire_bytes_read)``."""
+                        ) -> tuple[list, int]:
+    """Read one framed message; returns ``(frames, wire_bytes_read)``.
+
+    Raw frames are ``bytearray``\\ s (see :func:`_recv_exact`), compressed
+    ones the ``bytes`` they decompress to.
+    """
     return _read_frames(lambda size: _recv_exact(sock, size),
                         max_frame_bytes=max_frame_bytes)
 
 
 def recv_frames(sock: socket.socket, *,
-                max_frame_bytes: int = _MAX_FRAME_BYTES) -> list[bytes]:
+                max_frame_bytes: int = _MAX_FRAME_BYTES) -> list:
     """Read one framed message from ``sock``, verifying every checksum."""
     frames, _ = recv_frames_counted(sock, max_frame_bytes=max_frame_bytes)
     return frames
@@ -662,7 +659,7 @@ _NONCE_BYTES = 32
 
 _NO_SECRET_REMEDY = (
     "set the same REPRO_CLUSTER_SECRET (or REPRO_CLUSTER_SECRET_FILE) on "
-    "every coordinator and worker host, or unset it everywhere for the "
+    "every server and client host, or unset it everywhere for the "
     "unauthenticated localhost mode")
 
 
@@ -713,7 +710,7 @@ def _raise_refusal(payload: dict) -> None:
 
 def client_handshake(sock: socket.socket, *, secret: Optional[bytes] = None,
                      codecs: Optional[Sequence[str]] = None) -> Negotiated:
-    """Run the client (coordinator) side of the connection handshake.
+    """Run the client side of the connection handshake.
 
     ``codecs`` is the ordered list of compression codecs to offer
     (default: everything in :func:`available_codecs`; pass ``()`` to
@@ -757,18 +754,18 @@ def client_handshake(sock: socket.socket, *, secret: Optional[bytes] = None,
     if secret is not None:
         if not reply.get("auth_required"):
             raise AuthenticationError(
-                "this side has a cluster secret but the worker performs no "
+                "this side has a cluster secret but the server performs no "
                 f"authentication; {_NO_SECRET_REMEDY}")
         expected = _proof(secret, b"server", nonce_c, nonce_s, transcript)
         if not hmac.compare_digest(str(reply.get("proof", "")), expected):
             raise AuthenticationError(
-                "cluster-secret mismatch: the worker's HMAC proof failed "
+                "cluster-secret mismatch: the server's HMAC proof failed "
                 f"verification; {_NO_SECRET_REMEDY}")
         proof_c = _proof(secret, b"client", nonce_s, nonce_c, transcript)
     else:
         if reply.get("auth_required"):
             raise AuthenticationError(
-                "the worker requires an authenticated handshake but no "
+                "the server requires an authenticated handshake but no "
                 f"cluster secret is configured here; {_NO_SECRET_REMEDY}")
         proof_c = ""
     _send_handshake(sock, _AUTH_CLIENT, {"proof": proof_c})
@@ -793,7 +790,7 @@ def _refuse(conn: socket.socket, kind: str, message: str) -> None:
 
 def server_handshake(conn: socket.socket, *, secret: Optional[bytes] = None,
                      codecs: Optional[Sequence[str]] = None) -> Negotiated:
-    """Run the server (worker) side of the connection handshake.
+    """Run the server side of the connection handshake.
 
     Refuses — with a remedial JSON message, then the matching local
     exception — protocol-version mismatches, auth asymmetries (exactly
@@ -816,12 +813,12 @@ def server_handshake(conn: socket.socket, *, secret: Optional[bytes] = None,
     peer_wants_auth = bool(hello.get("auth"))
     if (secret is not None) and not peer_wants_auth:
         _refuse(conn, "auth",
-                "this worker requires an authenticated handshake but the "
-                f"coordinator offered none; {_NO_SECRET_REMEDY}")
+                "this server requires an authenticated handshake but the "
+                f"client offered none; {_NO_SECRET_REMEDY}")
     if (secret is None) and peer_wants_auth:
         _refuse(conn, "auth",
-                "the coordinator offered an authenticated handshake but "
-                f"this worker has no cluster secret; {_NO_SECRET_REMEDY}")
+                "the client offered an authenticated handshake but "
+                f"this server has no cluster secret; {_NO_SECRET_REMEDY}")
     try:
         nonce_c = bytes.fromhex(hello.get("nonce", ""))
     except ValueError:
@@ -848,7 +845,7 @@ def server_handshake(conn: socket.socket, *, secret: Optional[bytes] = None,
         expected = _proof(secret, b"client", nonce_s, nonce_c, transcript)
         if not hmac.compare_digest(str(auth.get("proof", "")), expected):
             _refuse(conn, "auth",
-                    "cluster-secret mismatch: the coordinator's HMAC proof "
+                    "cluster-secret mismatch: the client's HMAC proof "
                     f"failed verification; {_NO_SECRET_REMEDY}")
     _send_handshake(conn, _VERDICT, {"ok": True})
     return Negotiated(version=PROTOCOL_VERSION, codec=codec,

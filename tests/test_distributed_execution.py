@@ -231,6 +231,28 @@ class TestTransport:
         with pytest.raises(InvalidParameterError, match="secret"):
             transport.client_handshake(left, secret=123)
 
+    def test_received_frame_is_used_in_place(self) -> None:
+        """A received frame is read into one writable buffer, which the
+        unpickled array then views: 32 MiB arrive in about 32 MiB."""
+        import tracemalloc
+
+        array = np.arange(4 << 20, dtype=np.float64)  # 32 MiB
+        left, right = socket.socketpair()
+        with left, right:
+            sender = threading.Thread(target=send_message,
+                                      args=(left, {"a": array}))
+            tracemalloc.start()
+            try:
+                sender.start()
+                received = recv_message(right)
+                sender.join(timeout=30.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(received["a"], array)
+        assert received["a"].flags.writeable
+        assert peak <= 40 * 2**20, f"receive peaked at {peak / 2**20:.1f} MiB"
+
     def test_parse_address(self) -> None:
         assert parse_address("127.0.0.1:9000") == ("127.0.0.1", 9000)
         assert parse_address(("localhost", 1)) == ("localhost", 1)

@@ -426,6 +426,27 @@ def test_scatter_chunk_cap_does_not_change_bits(mode, monkeypatch) -> None:
                 left, right, err_msg=f"cap {cap}, step {step}")
 
 
+def test_shared_delta_batch_scatters_in_member_chunks() -> None:
+    """``(B,)`` deltas form one group of every member; the scatter still
+    splits it into member chunks instead of materialising all at once."""
+    import tracemalloc
+
+    from repro.sketch.countsketch import CountSketchEnsemble
+
+    sketches = CountSketchEnsemble.from_seeds(4096, 64, 5, range(200))
+    rng = np.random.default_rng(31)
+    indices = rng.integers(0, 4096, size=4096)
+    deltas = rng.standard_normal(4096)
+    sketches.update_batch(indices[:8], deltas[:8])  # build the tables first
+    tracemalloc.start()
+    try:
+        sketches.update_batch(indices, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"scatter peaked at {peak / 2**20:.1f} MiB"
+
+
 def test_duck_typed_update_stream_only_samplers_replay_records() -> None:
     """Replicas without ``update_batch`` replay materialised Update records."""
 

@@ -13,6 +13,8 @@ refused unknown ops, merge-snapshot deltas, and concurrent clients.
 from __future__ import annotations
 
 import os
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ import pytest
 from repro.service import ServiceClient, spawn_service, stop_service
 from repro.service.sampler_service import QUERY_ALLOWLIST, ServiceError
 from repro.sketch.countsketch import CountSketch
+from repro.utils import transport
 from repro.utils.snapshot import snapshot_bytes, snapshot_metadata
+from repro.utils.transport import AuthenticationError
 
 SPEC = "repro.sketch.countsketch:CountSketch"
 KWARGS = {"n": 256, "buckets": 16, "rows": 5, "seed": 7}
@@ -205,3 +209,94 @@ def test_restore_refuses_wrong_class_snapshot(tmp_path) -> None:
     with pytest.raises(TransportError, match="failed to announce"):
         spawn_service(SPEC, KWARGS, snapshot_path=snapshot,
                       startup_timeout=30)
+
+
+# ---------------------------------------------------------------------------
+# Authentication: the service runs the worker's handshake before unpickling
+# ---------------------------------------------------------------------------
+
+SECRET = "service-suite-secret"
+
+
+class _EvilPayload:
+    """Pickle whose deserialisation has an observable side effect."""
+
+    def __init__(self, marker: str) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (os.mkdir, (self.marker,))
+
+
+@pytest.fixture()
+def secure_service(monkeypatch):
+    """A daemon started with a cluster secret in its environment."""
+    monkeypatch.setenv("REPRO_CLUSTER_SECRET", SECRET)
+    process, address = spawn_service(SPEC, KWARGS)
+    yield address
+    stop_service(process, address)
+    assert process.wait(timeout=30) == 0
+
+
+def _serves_keyed_client(address) -> None:
+    batches = _batches(1, seed=23)
+    with ServiceClient(address, secret=SECRET, timeout=10.0) as client:
+        assert client.ping()
+        client.ingest(*batches[0])
+        np.testing.assert_array_equal(client.query("estimate_all"),
+                                      _reference(batches).estimate_all())
+
+
+def test_service_secret_mismatch_refused_with_remedial_error(
+        secure_service) -> None:
+    with pytest.raises(AuthenticationError, match="secret"):
+        ServiceClient(secure_service, secret=b"the-wrong-secret", timeout=10.0)
+    # The service survives the refusal and serves the right secret.
+    _serves_keyed_client(secure_service)
+
+
+def test_service_unauthenticated_client_refused_with_remedy(
+        secure_service) -> None:
+    with pytest.raises(AuthenticationError, match="REPRO_CLUSTER_SECRET"):
+        ServiceClient(secure_service, secret=None, timeout=10.0)
+    _serves_keyed_client(secure_service)
+
+
+def test_service_raw_pickle_never_unpickled_before_auth(secure_service,
+                                                        tmp_path) -> None:
+    """A peer that skips the handshake and sends a pickle is refused before
+    the pickle is loaded: its ``__reduce__`` would create a directory."""
+    marker = str(tmp_path / "pwned")
+    evil = transport.encode_frames(transport.frames_as_bytes(
+        transport.dumps_frames(_EvilPayload(marker))))
+    with socket.create_connection(secure_service, timeout=10.0) as sock:
+        sock.sendall(evil)
+        sock.settimeout(5.0)
+        try:  # the service drops the connection without a pickled reply
+            while sock.recv(1 << 16):
+                pass
+        except OSError:
+            pass
+    assert not os.path.isdir(marker), \
+        "service unpickled attacker bytes before authentication"
+    _serves_keyed_client(secure_service)
+
+
+def test_stalled_hello_blocks_neither_clients_nor_exit() -> None:
+    """A connection that never sends its hello holds only its handshake:
+    another client is answered at once, and a stop does not wait for it."""
+    process, address = spawn_service(SPEC, KWARGS)
+    try:
+        with socket.create_connection(address, timeout=10.0):
+            started = time.monotonic()
+            with ServiceClient(address, timeout=2.0) as client:
+                assert client.ping()
+            assert time.monotonic() - started < 2.0
+            started = time.monotonic()
+            stop_service(process, address)
+            assert process.returncode == 0
+            assert time.monotonic() - started < 10.0
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
