@@ -39,6 +39,12 @@ table cache PR: tracemalloc peak of a batched CountSketch ingest with
 materialised ``(rows, n)`` hash tables vs the ``blocked`` evaluation mode
 that never builds them (full mode: ``n = 10^7``, 7 rows, >= 10x peak
 reduction asserted; quick mode asserts the ordering on a small universe).
+
+E9g times ``CountSketch.update_vector`` on a dense vector, the
+gradient-style input in which every coordinate changes (the access
+pattern of ``CSVec.updateVec``), in microseconds per coordinate, and
+checks the table bitwise against a per-row ``np.add.at`` reference.  It
+prints its row only: it is not in ``BENCH_e9.json`` and not gated.
 """
 
 from __future__ import annotations
@@ -216,6 +222,48 @@ def test_e9_batched_ingest_throughput(benchmark):
     # every CountSketch-backed sampler (measured headroom is far larger).
     for row in rows:
         assert row[3] >= 5.0, f"{row[0]} speedup {row[3]} below 5x"
+
+
+def run_dense_vector_update():
+    """E9g: dense-vector ingest, ``CountSketch(10^5, 256, 5).update_vector``.
+
+    The first call builds the hash tables and is not timed; the median of
+    the timed calls is reported per vector and per coordinate.  The table
+    after every call must equal, bit for bit, one ``np.add.at`` per row
+    over the same vectors.
+    """
+    n, buckets, rows = 100_000, 256, 5
+    repeats = 5 if QUICK_MODE else 20
+    rng = np.random.default_rng(EXPERIMENT_SEED + 11)
+    vector = rng.standard_normal(n)
+    sketch = CountSketch(n, buckets, rows, EXPERIMENT_SEED)
+    sketch.update_vector(vector)
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        sketch.update_vector(vector)
+        seconds.append(time.perf_counter() - start)
+    ensemble = sketch._ensemble
+    keys = np.arange(n, dtype=np.int64)
+    bucket_of = ensemble._bucket_family.hash_all(keys)
+    signed = ensemble._sign_family.sign_all(keys) * vector
+    reference = np.zeros((rows, buckets))
+    for _ in range(1 + repeats):
+        for row in range(rows):
+            np.add.at(reference[row], bucket_of[row], signed[row])
+    assert ensemble.member_tables()[0].tobytes() == reference.tobytes()
+    per_vector = float(np.median(seconds))
+    return [["CountSketch(n=1e5, 256, 5)", repeats,
+             round(per_vector * 1e3, 3), round(per_vector * 1e6 / n, 4)]]
+
+
+def test_e9g_dense_vector_update(benchmark):
+    rows = benchmark.pedantic(run_dense_vector_update, rounds=1, iterations=1)
+    print_rows(
+        "E9g: dense-vector update_vector (n = 1e5, every coordinate changes)",
+        ["sketch", "vectors", "ms/vector", "us/coordinate"],
+        rows,
+    )
 
 
 def run_ensemble_draws():

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.utils.batching import aggregate_scatter
+from repro.utils.batching import aggregate_scatter, flat_scatter_add
 from repro.utils.rounding import DiscretizedSupport, discretize_support
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import require_positive_int
@@ -292,7 +292,8 @@ class FastUpdateState:
             raise InvalidParameterError("table shape does not match the fast-update state")
         rows, buckets, coefficients = self.coefficients(index)
         if rows.size:
-            np.add.at(table, (rows, buckets), delta * coefficients)
+            flat_scatter_add(table, rows * self._buckets + buckets,
+                             delta * coefficients)
 
     def apply_update_batch(self, table: np.ndarray, indices: np.ndarray,
                            deltas: np.ndarray) -> None:
@@ -301,7 +302,7 @@ class FastUpdateState:
         Repeated coordinates are aggregated first (the residual table is a
         linear function of the stream), the cached sparse coefficient lists
         of the distinct coordinates are concatenated, and the whole batch
-        lands in one ``np.add.at`` scatter.
+        lands in one element-wise scatter.
         """
         if table.shape != (self._rows, self._buckets):
             raise InvalidParameterError("table shape does not match the fast-update state")
@@ -312,7 +313,7 @@ class FastUpdateState:
         scatter = aggregate_scatter(indices, deltas, self.coefficients)
         if scatter is not None:
             rows, buckets, values = scatter
-            np.add.at(table, (rows, buckets), values)
+            flat_scatter_add(table, rows * self._buckets + buckets, values)
 
     def residual_l2_scale(self, index: int) -> float:
         """L2 scale of the coordinate's residual copies (for norm estimation)."""

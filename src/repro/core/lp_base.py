@@ -96,7 +96,16 @@ class RejectionLpSamplerBase(BatchUpdateMixin):
         ``"sketch"`` or ``"oracle"`` (see module docstring).
     value_instances:
         Number of CountSketch instances per ``L_2`` sampler available for
-        independent coordinate estimates (sketch backend only).
+        independent coordinate estimates (sketch backend only).  A
+        candidate asks its ``L_2`` sampler for ``Q`` estimates (``p - 2``
+        for Algorithm 1, ``ceil(4 log2 n)`` for Algorithm 2), each the
+        average of ``max(1, value_instances // Q)`` instances; when ``Q``
+        exceeds ``value_instances`` the groups wrap around the bank, so the
+        estimates repeat with period ``value_instances`` (see
+        :meth:`~repro.samplers.jw18_lp_sampler.JW18LpSamplerEnsemble.independent_value_estimates`).
+        At the default 8, Algorithm 2's 24 estimates at ``n = 64`` and 40
+        at ``n = 1024`` hold 8 distinct values, so Lemma 2.7's product of
+        independent deviations multiplies repeated factors.
     epsilon:
         Accuracy of the optional ``(1 + epsilon)`` value estimate attached
         to the returned sample.

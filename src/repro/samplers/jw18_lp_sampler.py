@@ -43,7 +43,7 @@ from repro.exceptions import InvalidParameterError
 from repro.samplers.base import Sample
 from repro.sketch.ams import AMSEnsemble
 from repro.sketch.countsketch import CountSketchEnsemble, averaged_member_seeds
-from repro.utils.batching import check_member_index
+from repro.utils.batching import check_member_index, flat_scatter_add
 from repro.utils.ensemble import (
     ReplicaEnsemble,
     ReplicaView,
@@ -84,8 +84,9 @@ def draw_jw18_replica(seed: SeedLike, n: int, exact_recovery: bool):
     exponentials = rng.exponential(size=n)
     if exact_recovery:
         return rng, exponentials, None
-    return rng, exponentials, tuple(int(rng.integers(0, 2**63 - 1))
-                                    for _ in range(3))
+    # One call draws what three scalar draws would, and leaves the
+    # generator where they would (the 64-bit bounded draw keeps no buffer).
+    return rng, exponentials, tuple(rng.integers(0, 2**63 - 1, size=3).tolist())
 
 
 class JW18LpSampler(ReplicaView):
@@ -155,9 +156,11 @@ class JW18LpSampler(ReplicaView):
 
         Algorithm 1 consumes ``p - 2`` independent estimates and Algorithm 2
         consumes ``Q = O(log n)`` of them; each estimate here is the average
-        of an independent group of CountSketch instances, unscaled by
-        ``e_index^{1/p}``.  In oracle mode all estimates equal the exact
-        value.
+        of a group of the value bank's ``value_instances`` CountSketch
+        instances, unscaled by ``e_index^{1/p}``.  The groups are only
+        independent while they fit in the bank: see
+        :meth:`JW18LpSamplerEnsemble.independent_value_estimates` for how
+        they wrap.  In oracle mode all estimates equal the exact value.
         """
         return self._ensemble.independent_value_estimates(
             0, index, count, group_size)
@@ -411,9 +414,9 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         everywhere."""
         scaled = deltas * self._inverse_scale[:, indices]
         if self._exact:
-            replica_index = np.arange(self.num_replicas)[:, None]
-            np.add.at(self._scaled_vectors, (replica_index, indices[None, :]),
-                      scaled)
+            replicas = np.arange(self.num_replicas, dtype=np.int64)[:, None]
+            flat_scatter_add(self._scaled_vectors, replicas * self._n + indices,
+                             scaled)
         else:
             self._main.update_batch(indices, scaled)
             self._value.update_batch(indices, scaled)
@@ -479,7 +482,21 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
 
     def independent_value_estimates(self, replica: int, index: int, count: int,
                                     group_size: int | None = None) -> np.ndarray:
-        """Replica's ``count`` (nearly) independent estimates of ``x_index``."""
+        """Replica's ``count`` (nearly) independent estimates of ``x_index``.
+
+        Estimate ``g`` averages the ``group_size`` value-bank members at
+        positions ``g * group_size + j`` (``j < group_size``) modulo the
+        bank size ``value_instances``; ``group_size`` defaults to
+        ``max(1, value_instances // count)``.  All ``count * group_size``
+        positions are read with one wrapping ``take``.  Once
+        ``count * group_size`` exceeds the bank the groups wrap, and the
+        estimates repeat with period
+        ``value_instances / gcd(value_instances, group_size)`` instead of
+        being independent: Algorithm 2 at ``n = 1024`` asks for ``Q = 40``
+        estimates of an 8-member bank and gets 8 distinct values, each used
+        five times.  Fixing that changes draws and space; ROADMAP.md keeps
+        it as a question for the conformance tests.
+        """
         check_member_index(replica, self.num_replicas, "replica")
         if not (0 <= index < self._n):
             raise InvalidParameterError(f"index {index} outside universe [0, {self._n})")
@@ -488,16 +505,14 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
         if self._exact:
             return np.full(count, float(self._scaled_vectors[replica, index]) * unscale)
         estimates = self._value_member_estimates(replica, index)
+        bank = len(estimates)
         if group_size is None:
-            group_size = max(1, len(estimates) // count)
-        groups = []
-        for group_index in range(count):
-            start = (group_index * group_size) % len(estimates)
-            chunk = estimates[start:start + group_size]
-            if len(chunk) < group_size:
-                chunk = np.concatenate([chunk, estimates[: group_size - len(chunk)]])
-            groups.append(float(np.mean(chunk)))
-        return np.asarray(groups) * unscale
+            group_size = max(1, bank // count)
+        elif not 1 <= group_size <= bank:
+            raise InvalidParameterError(
+                f"group_size must lie in [1, {bank}], got {group_size}")
+        groups = estimates.take(np.arange(count * group_size), mode="wrap")
+        return groups.reshape(count, group_size).sum(axis=1) / group_size * unscale
 
     def sample_replica(self, replica: int) -> Optional[Sample]:
         """Return replica ``replica``'s perfect ``L_p`` draw, or ``None`` on

@@ -26,7 +26,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 from repro.sketch.countsketch import BucketTableEnsemble
 from repro.sketch.hashing import KWiseHashFamily
-from repro.utils.batching import check_member_index
+from repro.utils.batching import check_member_index, flat_scatter_add
 from repro.utils.ensemble import (
     ReplicaView,
     member_chunks,
@@ -205,17 +205,17 @@ class CountMinEnsemble(BucketTableEnsemble):
     def _ingest(self, indices: np.ndarray, deltas: np.ndarray) -> None:
         """Apply one validated batch to every member with chunked scatter-adds.
 
-        The scatter tuple broadcasts to ``(chunk, rows, B)`` and
-        ``np.add.at`` visits cells member-major, row-major, batch-minor —
-        the accumulation order of a per-row loop over one sketch — so
-        member state does not depend on how members are stacked.
+        The flat cell index (:meth:`_flat_cells`) has shape
+        ``(chunk, rows, B)`` and ``np.add.at`` visits it member-major,
+        row-major, batch-minor — the accumulation order of a per-row loop
+        over one sketch — so member state does not depend on how members
+        are stacked.
         """
-        row_index = np.arange(self._rows)[None, :, None]
         for start, stop in member_chunks(self.num_members,
                                          self._rows * indices.size):
             buckets = self._member_columns(start, stop, indices)
-            member_index = np.arange(start, stop)[:, None, None]
-            np.add.at(self._table, (member_index, row_index, buckets), deltas)
+            flat_scatter_add(self._table[start:stop],
+                             self._flat_cells(buckets), deltas)
 
     def estimate_member(self, member: int, index: int) -> float:
         """Point query of one member for coordinate ``index``."""

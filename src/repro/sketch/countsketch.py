@@ -34,13 +34,19 @@ import copy
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
-from repro.sketch.hashing import KWiseHashFamily, SignHashFamily
+from repro.sketch.hashing import (
+    MERSENNE_PRIME,
+    KWiseHashFamily,
+    SignHashFamily,
+    _with_nonzero_leads,
+)
 from repro.utils.batching import (
     BatchUpdateMixin,
     check_batch_bounds,
     check_member_index,
     coerce_batch,
     coerce_indices,
+    flat_scatter_add,
     fused_bincount_add,
     median_of_rows,
 )
@@ -57,16 +63,27 @@ from repro.utils.table_cache import resolve_table_block, resolve_table_mode
 from repro.utils.validation import require_positive_int
 
 
-def draw_countsketch_hashes(seed: SeedLike, rows: int, buckets: int):
-    """The ``(bucket, sign)`` families one CountSketch draws from ``seed``.
+#: Coefficients one CountSketch row draws: a pairwise bucket hash (2), then
+#: a 4-wise sign hash (4).
+_ROW_COEFFICIENTS = 6
 
-    :class:`CountSketch` and :meth:`CountSketchEnsemble.from_seeds` both
-    call this, so the draw order exists once: the bucket family's
-    coefficients first, then the sign family's.
+
+def draw_countsketch_hashes(seed: SeedLike, rows: int) -> np.ndarray:
+    """The raw hash coefficients one CountSketch draws from ``seed``.
+
+    One ``rng.integers`` call returns all ``rows * 6`` of them as ``int64``:
+    the bucket family's ``(rows, 2)`` first, then the sign family's
+    ``(rows, 4)``, both in C order.  That is what a bucket-family draw
+    followed by a sign-family draw returns, with the generator left in the
+    same state, because NumPy's 64-bit bounded draw keeps no buffer between
+    calls.  Zero leading coefficients are not yet forced to 1:
+    :meth:`CountSketchEnsemble.from_seeds`, through which every
+    :class:`CountSketch` is built too, forces them once for all its
+    members, so the draw order exists once.
     """
     rng = ensure_rng(seed)
-    return (KWiseHashFamily.from_rng(rng, rows, 2, buckets),
-            SignHashFamily.from_rng(rng, rows, 4))
+    return rng.integers(0, MERSENNE_PRIME, size=rows * _ROW_COEFFICIENTS,
+                        dtype=np.int64)
 
 
 def averaged_member_seeds(seed: SeedLike, num_instances: int) -> np.ndarray:
@@ -79,8 +96,8 @@ class CountSketch(ReplicaView):
 
     A view of a one-member :class:`CountSketchEnsemble`, built by
     :meth:`CountSketchEnsemble.from_seeds` from ``seed``: construction
-    draws the hash-family coefficients (two vectorised ``rng.integers``
-    calls) but defers the O(n * rows) per-coordinate hash tables until the
+    draws the hash-family coefficients (one vectorised ``rng.integers``
+    call) but defers the O(n * rows) per-coordinate hash tables until the
     sketch is first touched, so short-lived instances pay almost nothing up
     front.  Many sketches of one shape are cheaper still as one
     :class:`CountSketchEnsemble`, whose member ``r`` is bitwise the sketch
@@ -252,6 +269,19 @@ class BucketTableEnsemble(ReplicaEnsemble):
                  else evaluate(np.arange(self._n, dtype=np.int64)))
         return table.reshape(-1, self._rows, self._n)
 
+    def _flat_cells(self, buckets: np.ndarray) -> np.ndarray:
+        """Cell indices of a member chunk's ``(chunk, rows, B)`` bucket
+        columns, linearised in C order over that chunk's
+        ``(chunk, rows, buckets)`` tables.
+
+        The offsets are an ``int64`` array, so narrow bucket columns are
+        promoted before the sum can wrap (see :mod:`repro.sketch.hashing`).
+        """
+        offsets = (np.arange(buckets.shape[0], dtype=np.int64)[:, None, None]
+                   * self._rows
+                   + np.arange(self._rows, dtype=np.int64)[:, None]) * self._buckets
+        return buckets + offsets
+
     def _slice_table(self, evaluate, start: int, stop: int,
                      indices: np.ndarray) -> np.ndarray:
         """Members ``[start, stop)`` of a family at ``indices``, evaluated
@@ -304,9 +334,14 @@ class CountSketchEnsemble(BucketTableEnsemble):
         """The ensemble of ``CountSketch(n, buckets, rows, s, ...)`` for
         ``s`` in ``seeds``, without building those sketches.
 
-        Each member's families come from :func:`draw_countsketch_hashes`,
-        the one copy of the draw order, so member ``r`` is bitwise the
-        sketch ``CountSketch(n, buckets, rows, seeds[r], ...)``.
+        Each member's coefficients come from
+        :func:`draw_countsketch_hashes`, the one copy of the draw order,
+        written straight into row ``r`` of one ``(M, rows * 6)`` matrix;
+        the zero leads of all members are forced in one call per family,
+        and the two column blocks become the stacked bucket and sign
+        families.  So member ``r`` is bitwise the sketch
+        ``CountSketch(n, buckets, rows, seeds[r], ...)``, and no
+        per-member family object is built.
         """
         require_positive_int(n, "n")
         require_positive_int(buckets, "buckets")
@@ -314,12 +349,17 @@ class CountSketchEnsemble(BucketTableEnsemble):
         require_replicas(seeds)
         table_mode = resolve_table_mode(table_mode)
         table_block = resolve_table_block(table_block)
-        drawn = [draw_countsketch_hashes(replica_seed(seed), rows, buckets)
-                 for seed in seeds]
+        drawn = np.empty((len(seeds), rows * _ROW_COEFFICIENTS), dtype=np.int64)
+        for member, seed in enumerate(seeds):
+            drawn[member] = draw_countsketch_hashes(replica_seed(seed), rows)
+        split = rows * 2
         ensemble = cls.__new__(cls)
-        ensemble._setup(n, rows, buckets, table_mode, table_block,
-                        KWiseHashFamily.concatenate([b for b, _ in drawn]),
-                        SignHashFamily.concatenate([s for _, s in drawn]))
+        ensemble._setup(
+            n, rows, buckets, table_mode, table_block,
+            KWiseHashFamily.from_coefficients(
+                _with_nonzero_leads(drawn[:, :split].reshape(-1, 2)), buckets),
+            SignHashFamily.from_coefficients(
+                _with_nonzero_leads(drawn[:, split:].reshape(-1, 4))))
         return ensemble
 
     def _setup(self, n: int, rows: int, buckets: int, table_mode: str,
@@ -411,58 +451,51 @@ class CountSketchEnsemble(BucketTableEnsemble):
         """Scatter a validated batch into every member table.
 
         ``deltas`` is ``(B,)`` or ``(G, B)`` (see :meth:`_coerce_deltas`).
-        Large batches (at least ``buckets`` updates) go through one flat
-        weighted ``np.bincount`` per member chunk, several times faster
-        than ``np.add.at``; smaller ones keep the element-wise scatter,
-        which avoids touching the whole table.  The branch depends only on
+        Each member chunk linearises its ``(chunk, rows, B)`` bucket
+        columns once (:meth:`_flat_cells`) into one flat index over its
+        slice of the table, and that index feeds one of two accumulators.
+        Large batches (at least ``buckets`` updates) go through one
+        weighted ``np.bincount`` (:func:`fused_bincount_add`), which
+        builds a table-sized temporary; smaller ones scatter element-wise
+        (:func:`flat_scatter_add`, ``np.add.at`` on NumPy's 1-D fast loop)
+        and touch only the cells they update.  The branch depends only on
         the batch length, and each cell accumulates the batch's updates in
         batch order either way, so every member is bitwise the single
         sketch fed the same batches.  Relative to one-update-at-a-time
         replay, the bincount branch sums each batch's contributions before
         adding them to the table, a legal re-association within the batch
         engine's documented ``rtol=1e-9`` float contract (the same class of
-        re-association the AMS and p-stable batch paths perform).
+        re-association the AMS and p-stable batch paths perform).  Both
+        the bincount and its in-place add release the GIL at these sizes,
+        which is what lets the ``threaded`` sharding back-end overlap shard
+        ingests; the element-wise scatter holds it, and large-batch ingest
+        is the path worth parallelising.
         """
         if deltas.ndim == 1:
             deltas = deltas[None, :]
         groups = deltas.shape[0]
         per_group = self.num_members // groups
         batch = indices.size
-        row_index = np.arange(self._rows)[None, :, None]
         use_bincount = batch >= self._buckets
-        cells_per_member = self._rows * self._buckets
         # Chunk along whole replica groups so the per-group delta rows
         # broadcast cleanly and no member range is visited twice.
         for start, stop, group_start, group_stop in group_chunks(
                 groups, per_group, self._rows * batch):
             buckets, signs = self._member_columns(start, stop, indices)
-            chunk = stop - start
             if group_stop - group_start == 1:
                 values = signs * deltas[group_start]
             else:
                 block = deltas[group_start:group_stop]
                 values = (signs.reshape(group_stop - group_start, per_group,
                                         self._rows, batch)
-                          * block[:, None, None, :]).reshape(chunk, self._rows,
-                                                             batch)
+                          * block[:, None, None, :]).reshape(stop - start,
+                                                             self._rows, batch)
+            target = self._table[start:stop]
+            flat = self._flat_cells(buckets)
             if use_bincount:
-                # The fused scatter: one flat weighted bincount per member
-                # chunk, accumulated into the table slice in place (see
-                # ``fused_bincount_add`` — both the bincount and the
-                # in-place add release the GIL on these array sizes, which
-                # is what lets the `threaded` sharding back-end overlap
-                # shard ingests in one process; the small-batch scatter
-                # fallback below holds it — large-batch ingest is the path
-                # worth parallelising).
-                flat = buckets + (row_index * self._buckets
-                                  + np.arange(chunk, dtype=np.int64)[:, None, None]
-                                  * cells_per_member)
-                fused_bincount_add(self._table[start:stop], flat, values,
-                                   chunk * cells_per_member)
+                fused_bincount_add(target, flat, values, target.size)
             else:
-                member_index = np.arange(start, stop)[:, None, None]
-                np.add.at(self._table, (member_index, row_index, buckets),
-                          values)
+                flat_scatter_add(target, flat, values)
 
     def update(self, index: int, delta: float) -> None:
         """Apply one scalar update to every member."""
@@ -474,7 +507,6 @@ class CountSketchEnsemble(BucketTableEnsemble):
         vector = np.asarray(vector, dtype=float)
         if vector.shape != (self._n,):
             raise InvalidParameterError("vector shape must match the universe size")
-        row_index = np.arange(self._rows)[None, :, None]
         if self._table_mode == "blocked":
             # Key-block outer, member-chunk inner: every (member, row,
             # bucket) cell still accumulates its keys in ascending order,
@@ -485,19 +517,15 @@ class CountSketchEnsemble(BucketTableEnsemble):
                 segment = vector[kstart:kstop]
                 for start, stop in member_chunks(self.num_members,
                                                  self._rows * keys.size):
-                    member_index = np.arange(start, stop)[:, None, None]
                     buckets, signs = self._member_columns(start, stop, keys)
-                    np.add.at(self._table,
-                              (member_index, row_index, buckets),
-                              signs * segment)
+                    flat_scatter_add(self._table[start:stop],
+                                     self._flat_cells(buckets), signs * segment)
             return
         self._ensure_tables()
         for start, stop in member_chunks(self.num_members, self._rows * self._n):
-            member_index = np.arange(start, stop)[:, None, None]
-            values = self._sign_of[start:stop] * vector
-            np.add.at(self._table,
-                      (member_index, row_index, self._bucket_of[start:stop]),
-                      values)
+            flat_scatter_add(self._table[start:stop],
+                             self._flat_cells(self._bucket_of[start:stop]),
+                             self._sign_of[start:stop] * vector)
 
     def estimate_member(self, member: int, index: int) -> float:
         """Point query: member ``member``'s median-of-rows estimate of

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError, SamplerStateError
 from repro.sketch.countsketch import CountSketchEnsemble
-from repro.utils.batching import check_member_index
+from repro.utils.batching import check_member_index, flat_scatter_add
 from repro.utils.ensemble import (
     ReplicaEnsemble,
     ReplicaView,
@@ -283,12 +283,11 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
         """Scale one validated batch per repetition and ingest it everywhere."""
         scaled = deltas * self._inverse_scales[:, :, indices]
         if self._exact:
-            replica_index = np.arange(self.num_replicas)[:, None, None]
-            repetition_index = np.arange(self._repetitions)[None, :, None]
-            np.add.at(self._scaled_vectors,
-                      (replica_index, repetition_index,
-                       indices[None, None, :]),
-                      scaled)
+            vectors = np.arange(self.num_replicas * self._repetitions,
+                                dtype=np.int64).reshape(self.num_replicas,
+                                                        self._repetitions, 1)
+            flat_scatter_add(self._scaled_vectors, vectors * self._n + indices,
+                             scaled)
         else:
             self._sketch.update_batch(indices,
                                       scaled.reshape(-1, indices.size))

@@ -135,6 +135,23 @@ def _signs_from_bits(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _with_nonzero_leads(coefficients: np.ndarray) -> np.ndarray:
+    """Raw ``int64`` coefficient draws, last axis the polynomial, as the
+    ``uint64`` coefficients of hash functions.
+
+    A zero leading (last) coefficient is set to 1 in place first, which
+    keeps every polynomial's degree exactly ``k - 1``.  Every draw of hash
+    coefficients ends here: :class:`KWiseHash`,
+    :meth:`KWiseHashFamily.from_rng`, and CountSketch's stacked member
+    draws (:meth:`repro.sketch.countsketch.CountSketchEnsemble.from_seeds`),
+    which force the leads of a whole ensemble in one call.
+    """
+    if coefficients.shape[-1] > 1:
+        leads = coefficients[..., -1]
+        leads[leads == 0] = 1
+    return coefficients.astype(np.uint64)
+
+
 def _draw_coefficients(k: int, seed: SeedLike) -> np.ndarray:
     """Draw the ``k`` polynomial coefficients of one hash function.
 
@@ -143,11 +160,8 @@ def _draw_coefficients(k: int, seed: SeedLike) -> np.ndarray:
     standalone :class:`KWiseHash` built from the same seed.
     """
     rng = ensure_rng(seed)
-    coefficients = rng.integers(0, MERSENNE_PRIME, size=k, dtype=np.int64)
-    # Leading coefficient non-zero keeps the polynomial degree exactly k-1.
-    if k > 1 and coefficients[-1] == 0:
-        coefficients[-1] = 1
-    return coefficients.astype(np.uint64)
+    return _with_nonzero_leads(
+        rng.integers(0, MERSENNE_PRIME, size=k, dtype=np.int64))
 
 
 class KWiseHash:
@@ -238,13 +252,10 @@ class KWiseHashFamily:
             raise InvalidParameterError("range_size must be at least 1")
         coefficients = rng.integers(0, MERSENNE_PRIME, size=(size, k),
                                     dtype=np.int64)
-        if k > 1:
-            zero_lead = coefficients[:, -1] == 0
-            coefficients[zero_lead, -1] = 1
         family = cls.__new__(cls)
         family._k = int(k)
         family._range_size = int(range_size)
-        family._coefficients = coefficients.astype(np.uint64)
+        family._coefficients = _with_nonzero_leads(coefficients)
         return family
 
     @classmethod
@@ -410,6 +421,13 @@ class SignHashFamily:
         """Draw a whole sign family's coefficients in one vectorised call."""
         family = cls.__new__(cls)
         family._family = KWiseHashFamily.from_rng(rng, size, k, 2)
+        return family
+
+    @classmethod
+    def from_coefficients(cls, coefficients: np.ndarray) -> "SignHashFamily":
+        """Wrap an existing ``(F, k)`` ``uint64`` coefficient matrix."""
+        family = cls.__new__(cls)
+        family._family = KWiseHashFamily.from_coefficients(coefficients, 2)
         return family
 
     @classmethod

@@ -53,7 +53,9 @@ dedup as the multiprocessing back-end's pool initializer), ingest shard
 ensembles on request, and ship them back.
 Spawn localhost workers in-process-tree with :func:`spawn_local_workers`
 (the CI harness and the fault-injection suite do), or run
-``python -m repro.utils.coordinator --serve`` on any host.
+``python -m repro.worker --serve`` on any host.  The worker has its own
+``__main__`` shim, :mod:`repro.worker`, because the package imports this
+module at start-up: running it under ``-m`` would execute it twice.
 
 Security and deployment model
 -----------------------------
@@ -376,7 +378,7 @@ def spawn_local_workers(num_workers: int, *, env: Optional[dict] = None,
         raise InvalidParameterError(
             f"got {len(ports)} ports for {num_workers} workers")
     ports = [0] * num_workers if ports is None else ports
-    return spawn([["repro.utils.coordinator", "--serve", "--host",
+    return spawn([["repro.worker", "--serve", "--host",
                    "127.0.0.1", "--port", str(int(port))] for port in ports],
                  name="worker", env=env, startup_timeout=startup_timeout)
 
@@ -976,10 +978,11 @@ def distributed_ingest(ensembles: Sequence, streams: Sequence, *,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: ``python -m repro.utils.coordinator --serve [--host H] [--port P]``."""
+    """CLI: ``python -m repro.worker --serve [--host H] [--port P]``."""
     import argparse
 
     parser = argparse.ArgumentParser(
+        prog="python -m repro.worker",
         description="Run a repro distributed-execution worker.")
     parser.add_argument("--serve", action="store_true",
                         help="start a worker server")

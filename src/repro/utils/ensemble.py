@@ -23,7 +23,14 @@ replicas), plus the shape scalars its public API reads, and answers every
 call with replica 0.  Each substrate module has one draw helper per
 replica (``draw_countsketch_hashes``, ``draw_jw18_replica``, ...), which
 both the view and ``from_seeds`` go through, so a view with seed ``s`` is
-bitwise replica ``r`` of any ensemble whose ``r``-th seed is ``s``.
+bitwise replica ``r`` of any ensemble whose ``r``-th seed is ``s``.  A
+helper returns what the replica draws and nothing more:
+``draw_countsketch_hashes`` returns one member's ``rows * 6`` raw
+``int64`` coefficients from one ``rng.integers`` call (bucket hashes,
+then sign hashes), which ``CountSketchEnsemble.from_seeds`` writes into
+row ``r`` of one stacked ``(M, rows * 6)`` matrix; it forces the zero
+leading coefficients of the whole stack at once and wraps the two column
+blocks as the ensemble's families, so no per-member family object exists.
 
 A view and its ensemble's public ``update_batch`` share one private
 ``_ingest`` kernel, and a sampler view and ``sample_replica`` share one

@@ -21,6 +21,7 @@ satisfies ``|x - y| <= x / 100``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,6 +42,24 @@ def generalized_binomial(r: float, q: int) -> float:
     for a in range(q):
         coefficient *= (r - a) / (a + 1)
     return coefficient
+
+
+@functools.lru_cache(maxsize=256)
+def _binomial_coefficients(exponent: float, num_terms: int) -> tuple[float, ...]:
+    """``C(exponent, q)`` for ``q = 0 .. num_terms``, computed once per pair.
+
+    One running product, which is the arithmetic of
+    :func:`generalized_binomial` in its order: ``C(r, q)`` is
+    ``C(r, q - 1) * ((r - (q - 1)) / q)`` in both, so each value is
+    bitwise :func:`generalized_binomial`'s, at ``O(Q)`` cost for all of
+    them instead of ``O(Q^2)`` per series.  Cached per
+    ``(exponent, num_terms)``, so a :class:`TaylorPowerEstimator` computes
+    them once and holds nothing extra in its pickle.
+    """
+    coefficients = [1.0]
+    for a in range(num_terms):
+        coefficients.append(coefficients[-1] * ((exponent - a) / (a + 1)))
+    return tuple(coefficients)
 
 
 def taylor_power_estimate(estimates: Sequence[float], pivot: float, exponent: float,
@@ -79,9 +98,9 @@ def taylor_power_estimate(estimates: Sequence[float], pivot: float, exponent: fl
 
     total = 0.0
     running_product = 1.0
+    coefficients = _binomial_coefficients(float(exponent), int(num_terms))
     for q in range(num_terms + 1):
-        coefficient = generalized_binomial(exponent, q)
-        term = coefficient * pivot ** (exponent - q) * running_product
+        term = coefficients[q] * pivot ** (exponent - q) * running_product
         total += term
         if q < num_terms:
             running_product *= estimates[q] - pivot

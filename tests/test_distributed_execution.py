@@ -23,6 +23,7 @@ in-test fake workers whose misbehaviour is scripted exactly.
 from __future__ import annotations
 
 import math
+import os
 import socket
 import struct
 import threading
@@ -722,6 +723,23 @@ def test_sigterm_exits_gracefully() -> None:
     """The SIGTERM handler closes the listener and exits with status 0."""
     processes, _ = spawn_local_workers(1)
     stop_local_workers(processes)
+    assert processes[0].returncode == 0
+
+
+def test_dev_mode_worker_writes_nothing_to_stderr() -> None:
+    """A worker executes its module once: under ``PYTHONDEVMODE=1`` it
+    serves and stops with nothing on stderr.  (Run as ``python -m
+    repro.utils.coordinator``, it warned that runpy found the module
+    already imported by the package.)"""
+    processes, addresses = spawn_local_workers(1, env={"PYTHONDEVMODE": "1"})
+    # stop_local_workers closes the pipe; a duplicate of its read end keeps
+    # everything the worker wrote until it exited.
+    with os.fdopen(os.dup(processes[0].stderr.fileno())) as stderr:
+        try:
+            assert worker_echo(addresses[0], b"ping") == b"ping"
+        finally:
+            stop_local_workers(processes)
+        assert stderr.read() == ""
     assert processes[0].returncode == 0
 
 

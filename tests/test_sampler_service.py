@@ -64,6 +64,8 @@ def test_kill_and_restore_round_trip_is_exact(tmp_path) -> None:
     finally:
         process.kill()  # the crash the restore path exists for
         process.wait(timeout=30)
+        process.stdout.close()
+        process.stderr.close()
 
     with open(snapshot, "rb") as handle:
         meta = snapshot_metadata(handle.read())
