@@ -86,13 +86,16 @@ def run_bulk_experiment(n: int = 48, p: float = 3.0, draws: int = 600):
 
     ``bulk_samples`` builds ``draws`` *independent* replicas of every
     shard's local sampler (stacked into the registered native ensemble),
-    ingests the per-shard sub-streams once through the sharded execution
-    layer, and serves each draw from its own replica — one-shot draws, the
-    regime the paper's samplers are defined for, instead of re-querying a
-    single long-lived local sampler.  The per-shard ingests also run under
-    the ``threaded`` back-end (machines working in parallel inside one
-    process, zero pickling) and must serve draw-for-draw identical
-    samples.
+    and each unit of replicas ingests its shard's sub-stream once through
+    the sharded execution layer and draws where it runs, serving each draw
+    from its own replica — one-shot draws, the regime the paper's samplers
+    are defined for, instead of re-querying a single long-lived local
+    sampler.  Serially each shard is one unit; under the ``threaded``
+    back-end (machines working in parallel inside one process, zero
+    pickling) a shard's replicas split into units of at most
+    ``ceil(draws / processes)``, which must serve draw-for-draw identical
+    samples.  Under ``distributed`` the same units go to worker hosts,
+    which send back the draws, never the sketches.
     """
     vector = zipfian_frequency_vector(n, skew=1.3, scale=70.0, seed=EXPERIMENT_SEED)
     stream = stream_from_vector(vector, updates_per_unit=2, seed=EXPERIMENT_SEED + 1)

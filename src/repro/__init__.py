@@ -93,7 +93,13 @@ counts, worker addresses, cluster secret — rides on one frozen
 ``config=`` to ``ensemble_samples``, the sharding helpers,
 ``evaluate_sampler_distribution``, the distributed coordinator's
 ``bulk_samples`` and the service.  Every execution mode runs the same
-numpy kernels over the same batches, so the draws never depend on it:
+numpy kernels over the same batches, so the draws never depend on it.
+Where only draws are kept (``sharded_ensemble_samples``,
+``bulk_samples``), each shard of replicas is ingested and drawn where it
+runs: a worker process or host receives the fresh shard (its zero tables
+pickled as shapes) and the stream once, and sends back the samples, not
+the sketches.  Under ``"distributed"`` the shards default to one per
+worker and go out largest first to the least-loaded worker:
 
 >>> from repro import ExecutionConfig, ensemble_samples, sharded_ensemble_samples
 >>> def make(seed):

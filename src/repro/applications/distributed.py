@@ -36,7 +36,7 @@ from repro.streams.updates import StreamKind
 from repro.utils.ensemble import build_ensemble
 from repro.utils.execution_config import ExecutionConfig
 from repro.utils.rng import SeedLike, derive_seed, ensure_rng, splitmix64
-from repro.utils.sharding import ingest_sharded
+from repro.utils.sharding import ingest_sharded, parallel_width
 from repro.utils.validation import require_positive_int
 
 SamplerFactory = Callable[[int, int], object]
@@ -237,20 +237,28 @@ class DistributedSamplingCoordinator(BatchUpdateMixin):
         sampler, so the draws share that sampler's randomness.  This path
         instead serves every draw from its own *independent* replica of the
         chosen shard's local sampler: the per-draw shard choices are made
-        up front from the usual estimator weights, each shard stacks one
-        replica per draw it serves (seeded per ``(shard, draw)``, so the
-        replica set is independent of how draws land) into the sampler's
-        registered native ensemble, and the shard sub-streams of ``stream``
-        are ingested once through the sharded execution layer
+        up front from the usual estimator weights, and each shard builds
+        one replica per draw it serves (seeded per ``(shard, draw)``, so the
+        replica set is independent of how draws land).  Only ``num_draws``
+        replicas are built in total; shards that serve no draw are skipped.
+
+        The replicas of a shard are stacked into units of at most
+        ``ceil(num_draws / W)`` replicas each, where ``W`` is the back-end's
+        :func:`~repro.utils.sharding.parallel_width` (the worker count
+        under ``distributed``, 1 under ``serial``, so serial keeps one
+        ensemble per shard).  Every unit ingests its shard's sub-stream
+        *and draws* where it runs, through the sharded execution layer
         (``config.execution`` is ``serial``; ``threaded`` — an in-process
         thread pool with zero pickling; ``multiprocessing``; or
         ``distributed`` — socket worker hosts behind the scatter/gather
-        coordinator of
-        :mod:`repro.utils.coordinator`, the literal Section 1.3 picture of
-        machines working in parallel, dead-worker re-dispatch included).
-        Only
-        ``num_draws`` replicas are built in total; shards that serve no
-        draw are skipped entirely.
+        coordinator of :mod:`repro.utils.coordinator`, the literal Section
+        1.3 picture of machines working in parallel, dead-worker
+        re-dispatch included).  A worker receives the fresh unit (its zero
+        tables pickle as shapes) and the sub-stream once, and sends back
+        only the unit's one-shot samples; the executor hands the largest
+        units out first to the least-loaded worker, so a skewed shard
+        split still keeps every worker busy.  The draws are bit-identical
+        under every back-end and every split.
 
         The coordinator itself must already have ingested the stream (the
         shard-selection weights come from the shard estimators); ``stream``
@@ -264,27 +272,26 @@ class DistributedSamplingCoordinator(BatchUpdateMixin):
         for draw, shard_id in enumerate(choices):
             draws_of_shard.setdefault(shard_id, []).append(draw)
         substreams = split_stream(stream, self._assignment, self._num_shards)
-        active = sorted(draws_of_shard)
+        unit_size = -(-num_draws // parallel_width(config))
+        units = [(shard, draws[start:start + unit_size])
+                 for shard, draws in sorted(draws_of_shard.items())
+                 for start in range(0, len(draws), unit_size)]
         ensembles = [
             build_ensemble([
                 self._sampler_factory(
                     shard, derive_seed(self._bulk_seed, shard, draw))
-                for draw in draws_of_shard[shard]
+                for draw in draws
             ])
-            for shard in active
+            for shard, draws in units
         ]
-        ensembles = ingest_sharded(
-            ensembles, [substreams[shard] for shard in active],
-            config=config, batch_size=batch_size)
-        ensemble_of_shard = dict(zip(active, ensembles))
-        position = {draw: pos for draws in draws_of_shard.values()
-                    for pos, draw in enumerate(draws)}
-        return [
-            self._tag_shard(
-                ensemble_of_shard[shard_id].sample_replica(position[draw]),
-                shard_id)
-            for draw, shard_id in enumerate(choices)
-        ]
+        drawn = ingest_sharded(
+            ensembles, [substreams[shard] for shard, _ in units],
+            config=config, batch_size=batch_size, draw=True)
+        results: list[Optional[Sample]] = [None] * num_draws
+        for (shard, draws), samples in zip(units, drawn):
+            for draw, sample in zip(draws, samples):
+                results[draw] = self._tag_shard(sample, shard)
+        return results
 
     def target_distribution(self, vector: Sequence[float], p: float) -> np.ndarray:
         """The global ``L_p`` target pmf (for tests and benchmarks)."""

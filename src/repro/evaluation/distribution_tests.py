@@ -261,17 +261,21 @@ def evaluate_sampler_distribution(
         bundling the execution knobs.  ``execution="serial"`` (the
         default) runs the monolithic replica-ensemble engine; every other
         mode splits each round's replicas across ``num_shards`` shard
-        ensembles (defaults: ``processes``, else the affinity-aware usable
-        CPU count) through
-        :func:`~repro.utils.sharding.sharded_ensemble_samples`:
-        ``"threaded"`` drives them from an in-process thread pool (zero
-        pickling — the shard kernels release the GIL),
+        ensembles through
+        :func:`~repro.utils.sharding.sharded_ensemble_samples`, by default
+        one per unit of the back-end's width
+        (:func:`~repro.utils.sharding.parallel_width`: the worker count
+        under ``"distributed"``, else ``processes`` or the affinity-aware
+        usable CPU count).  ``"threaded"`` drives them from an in-process
+        thread pool (zero pickling — the shard kernels release the GIL),
         ``"multiprocessing"`` executes them in worker processes, and
         ``"distributed"`` ships them to socket worker hosts through the
         scatter/gather coordinator (with none reachable the run degrades
-        to serial).  Replica sharding is bit-identical to the monolithic
-        engine, so the report is draw-for-draw independent of the
-        execution mode — it is purely a wall-clock/parallelism choice.
+        to serial); a worker process or host ingests and draws its shard
+        and sends back only the samples.  Replica sharding is
+        bit-identical to the monolithic engine, so the report is
+        draw-for-draw independent of the execution mode — it is purely a
+        wall-clock/parallelism choice.
     failure_rate_prior:
         Pre-seeds the retry engine's failure-rate EWMA (see
         :func:`overprovisioned_draws`) so the first round already carries

@@ -235,6 +235,7 @@ class JW18LpSamplerEnsemble(ReplicaEnsemble):
 
     #: Query caches: recomputed from the sketch tables by the next query.
     _DERIVED = ("_estimates_cache", "_candidates")
+    _ZERO_STATE = ("_scaled_vectors",)
 
     @classmethod
     def from_seeds(cls, n: int, p: float, seeds, *,

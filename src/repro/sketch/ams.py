@@ -124,6 +124,7 @@ class AMSEnsemble(ReplicaEnsemble):
     """
 
     _DERIVED = ("_signs",)
+    _ZERO_STATE = ("_counters", "_num_updates")
 
     @classmethod
     def from_seeds(cls, n: int, width: int, depth: int, seeds,

@@ -190,12 +190,17 @@ class BucketTableEnsemble(ReplicaEnsemble):
     """
 
     _DERIVED = ("_bucket_of",)
+    _ZERO_STATE = ("_table",)
     #: The hash-family fields, concatenated by :meth:`concat`.
     _FAMILIES = ("_bucket_family",)
 
     def _has_ingested(self) -> bool:
-        """Whether any member table holds a non-zero counter."""
-        return bool(self._table.any())
+        """Whether any member table holds a non-zero counter.
+
+        Every member ingests every update, so a filled table answers from
+        its first block (member 0) and pickling it adds no full scan."""
+        flat = self._table.reshape(-1)
+        return bool(flat[:4096].any() or flat.any())
 
     def _shared(self) -> tuple:
         """What every member shares: universe, shape and table mode."""

@@ -135,6 +135,8 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
     draws no randomness, so the memo changes no returned value.
     """
 
+    _ZERO_STATE = ("_scaled_vectors", "_num_updates")
+
     @classmethod
     def from_seeds(cls, n: int, p: float, seeds, *, repetitions: int = 60,
                    buckets: int | None = None, rows: int = 5,
@@ -191,13 +193,13 @@ class FpEstimatorEnsemble(ReplicaEnsemble):
     def __getstate__(self):
         """Pickle without the estimate memo, so a snapshot's bytes depend
         only on the stream state; the next query recomputes it."""
-        state = self.__dict__.copy()
+        state = super().__getstate__()
         del state["_estimate_memo"]
         return state
 
     def __setstate__(self, state):
         """Restore with no memo."""
-        self.__dict__.update(state)
+        super().__setstate__(state)
         self._estimate_memo = None
 
     def _has_ingested(self) -> bool:

@@ -216,6 +216,8 @@ class PStableEnsemble(ReplicaEnsemble):
     ensembles; :meth:`from_seeds` draws the replicas directly.
     """
 
+    _ZERO_STATE = ("_state", "_num_updates")
+
     @classmethod
     def from_seeds(cls, n: int, p: float, num_rows: int,
                    seeds) -> "PStableEnsemble":

@@ -49,8 +49,16 @@ bits, no sockets.  Rejoins, retries, and backoff time are all reported in
 Workers (:func:`serve_worker`) are deliberately dumb: an ``echo``/
 ``ingest`` op table on the server core of :mod:`repro.utils.server`, they
 cache streams by slot per connection (the same install-once-per-worker
-dedup as the multiprocessing back-end's pool initializer), ingest shard
-ensembles on request, and ship them back.
+dedup as the multiprocessing back-end's pool initializer) and ingest the
+shard ensembles they are sent.  What goes back is what the caller keeps:
+a merge or a replica-sharded concat needs the ingested ensemble, so the
+worker ships it back; a bulk draw needs only the draws, so with ``draw``
+the worker samples every replica after the ingest and replies with those
+samples — kilobytes instead of the shard's sketch tables.  A fresh shard
+ensemble travels small in the other direction too: its zero tables
+pickle as their shapes (:class:`~repro.utils.ensemble.ReplicaEnsemble`).
+The executor hands units out largest first, each to the live worker with
+the fewest replicas in flight, so unequal shards still balance.
 Spawn localhost workers in-process-tree with :func:`spawn_local_workers`
 (the CI harness and the fault-injection suite do), or run
 ``python -m repro.worker --serve`` on any host.  The worker has its own
@@ -165,6 +173,7 @@ __all__ = [
     "RetryPolicy",
     "WorkerError",
     "default_workers",
+    "dispatch_plan",
     "distributed_ingest",
     "last_gather_stats",
     "parse_address",
@@ -173,6 +182,7 @@ __all__ = [
     "shutdown_worker",
     "spawn_local_workers",
     "stop_local_workers",
+    "worker_count",
     "worker_echo",
     "worker_pool",
 ]
@@ -318,7 +328,9 @@ def _handle_ingest(message: dict, stream_cache: dict) -> dict:
     ``(n, indices, deltas)`` arrays and is rebuilt into a
     :class:`~repro.streams.stream.TurnstileStream`, so the worker replays
     through the same ``update_stream`` chunking as every other back-end
-    (bit-identity requires identical batch boundaries).
+    (bit-identity requires identical batch boundaries).  The reply carries
+    the ingested ensemble, or with the message's ``draw`` flag the
+    ensemble's ``replica_samples()``.
     """
     from repro.streams.stream import TurnstileStream
 
@@ -336,6 +348,8 @@ def _handle_ingest(message: dict, stream_cache: dict) -> dict:
     ensemble = message["ensemble"]
     ensemble.update_stream(stream_cache[slot],
                            batch_size=message.get("batch_size"))
+    if message.get("draw"):
+        return {"ok": True, "samples": ensemble.replica_samples()}
     return {"ok": True, "ensemble": ensemble}
 
 
@@ -447,6 +461,25 @@ def worker_echo(address, payload, *,
 # ---------------------------------------------------------------------------
 
 
+def dispatch_plan(sizes: Sequence[int],
+                  loads: Sequence[int]) -> list[tuple[int, int]]:
+    """The send order of units of ``sizes`` replicas over links already
+    carrying ``loads`` replicas: ``(unit, link)`` pairs.
+
+    The largest unit goes first (ties in unit order), each to the link
+    with the fewest replicas so far (ties to the first such link).  Units
+    of 50, 31 and 19 replicas over two idle links then run 50/50, where
+    round-robin by position runs 69/31.
+    """
+    loads = list(loads)
+    plan = []
+    for unit in sorted(range(len(sizes)), key=lambda unit: -sizes[unit]):
+        link = loads.index(min(loads))
+        loads[link] += sizes[unit]
+        plan.append((unit, link))
+    return plan
+
+
 @dataclass(frozen=True)
 class GatherStats:
     """Diagnostics of one scatter/gather run (observable re-dispatch bill).
@@ -528,6 +561,7 @@ class _WorkerLink(Connection):
         self.min_compress_bytes = min_compress_bytes
         self.installed_slots: set[int] = set()
         self.inflight: list[int] = []  # shard ids, in send order
+        self.load = 0  # replicas of the in-flight shards
 
     def send(self, frames) -> int:
         """Send one framed message on the negotiated codec; wire bytes."""
@@ -609,6 +643,11 @@ class DistributedExecutor:
         self.last_stats: Optional[GatherStats] = None
 
     @property
+    def num_workers(self) -> int:
+        """Worker addresses configured (reachable or not)."""
+        return len(self._addresses)
+
+    @property
     def failure_rate_ewma(self) -> float:
         """Current worker-failure EWMA (sizes the next run's spare slots)."""
         return self._failure_ewma
@@ -635,19 +674,25 @@ class DistributedExecutor:
             min_compress_bytes=self._min_compress_bytes)
 
     def ingest(self, ensembles: Sequence, streams: Sequence, *,
-               batch_size: Optional[int] = None) -> list:
+               batch_size: Optional[int] = None, draw: bool = False) -> list:
         """Ingest ``streams[i]`` into ``ensembles[i]`` across the workers.
 
         Returns freshly unpickled ensembles in shard order, bit-identical
         to the serial back-end (same kernels, same batch boundaries —
         exactly the multiprocessing contract, carried over a socket).
-        Shards lost to worker deaths re-dispatch to survivors from their
-        retained payload frames; dead addresses are re-probed with
-        backoff between rounds, so a worker restarted at the same
-        endpoint rejoins the run and takes load again.  With no link left
-        the coordinator waits out the probe schedule (bounded by the
-        retry policy's deadline) before degrading the remainder to
-        in-process serial ingest.  Diagnostics land in :attr:`last_stats`.
+        With ``draw`` each worker samples its shard's replicas after the
+        ingest and the result is, per shard, the list of those one-shot
+        samples — the serial draws, without shipping the tables back.
+
+        Shards go out largest first (by replica count), each to the live
+        link with the fewest replicas in flight.  Shards lost to worker
+        deaths re-dispatch to survivors from their retained payload
+        frames; dead addresses are re-probed with backoff between rounds,
+        so a worker restarted at the same endpoint rejoins the run and
+        takes load again.  With no link left the coordinator waits out the
+        probe schedule (bounded by the retry policy's deadline) before
+        degrading the remainder to in-process serial ingest (and draw).
+        Diagnostics land in :attr:`last_stats`.
         """
         ensembles = list(ensembles)
         streams = list(streams)
@@ -656,6 +701,7 @@ class DistributedExecutor:
                 f"got {len(ensembles)} ensembles but {len(streams)} streams")
         num_shards = len(ensembles)
         results: list = [None] * num_shards
+        sizes = [ensemble.num_replicas for ensemble in ensembles]
 
         # Deduplicate streams by identity (the shared-stream replica mode
         # hands one object to every shard) into per-slot array tuples.
@@ -698,7 +744,7 @@ class DistributedExecutor:
         def ingest_op(shard: int, stream) -> dict:
             return {"op": "ingest", "slot": shard_slot[shard],
                     "stream": stream, "ensemble": ensembles[shard],
-                    "batch_size": batch_size}
+                    "batch_size": batch_size, "draw": draw}
 
         def frames_for(shard: int) -> list[bytes]:
             if shard not in shard_frames:  # stream-less: see _send below
@@ -723,6 +769,7 @@ class DistributedExecutor:
             if sends_of_shard[shard] > 1:
                 redispatches += 1
             link.inflight.append(shard)
+            link.load += sizes[shard]
 
         def mark_dead(link: _WorkerLink) -> None:
             nonlocal dead, recovery_deadline
@@ -775,13 +822,17 @@ class DistributedExecutor:
             reachable = len(links)
 
             def dispatch(shards: Sequence[int]) -> list[int]:
-                """Round-robin ``shards`` over live links; returns undispatched."""
+                """Send ``shards`` over the live links by
+                :func:`dispatch_plan`; returns undispatched."""
                 unsent = []
-                for position, shard in enumerate(shards):
-                    if not links:
-                        unsent.extend(shards[position:])
-                        break
-                    link = links[position % len(links)]
+                live = list(links)
+                for unit, index in dispatch_plan(
+                        [sizes[shard] for shard in shards],
+                        [link.load for link in live]):
+                    shard, link = shards[unit], live[index]
+                    if link not in links:  # died earlier in this wave
+                        unsent.append(shard)
+                        continue
                     try:
                         _send(link, shard)
                     except TransportError:
@@ -811,13 +862,14 @@ class DistributedExecutor:
                             mark_dead(link)
                             break
                         link.inflight.pop(0)
+                        link.load -= sizes[shard]
                         if not (isinstance(reply, dict) and reply.get("ok")):
                             raise WorkerError(
                                 f"worker {link.address} failed shard {shard}: "
                                 f"{reply.get('error') if isinstance(reply, dict) else reply!r}")
                         wire_received += wire
                         bytes_received += frames_nbytes(frames)
-                        results[shard] = reply["ensemble"]
+                        results[shard] = reply["samples" if draw else "ensemble"]
                 return lost
 
             spares = self.spare_slots(num_shards) if links else 0
@@ -862,9 +914,10 @@ class DistributedExecutor:
             for shard in todo:
                 if results[shard] is not None:
                     continue
-                ensembles[shard].update_stream(streams[shard],
-                                               batch_size=batch_size)
-                results[shard] = ensembles[shard]
+                ensemble = ensembles[shard]
+                ensemble.update_stream(streams[shard], batch_size=batch_size)
+                results[shard] = (ensemble.replica_samples() if draw
+                                  else ensemble)
                 degraded += 1
         finally:
             # Close even on the error paths (unpicklable payload, a worker's
@@ -959,20 +1012,31 @@ def last_gather_stats() -> Optional[GatherStats]:
     return _LAST_STATS
 
 
+def worker_count() -> int:
+    """Workers a distributed ingest would use now: the active
+    :func:`worker_pool`'s, else :func:`default_workers`' (may be 0)."""
+    if _ACTIVE_EXECUTOR is not None:
+        return _ACTIVE_EXECUTOR.num_workers
+    return len(default_workers())
+
+
 def distributed_ingest(ensembles: Sequence, streams: Sequence, *,
-                       batch_size: Optional[int] = None) -> list:
+                       batch_size: Optional[int] = None,
+                       draw: bool = False) -> list:
     """`ingest_sharded`'s ``execution="distributed"`` back-end.
 
     Routes through the active :func:`worker_pool` executor when one is in
     scope, else a one-shot executor over :func:`default_workers` (which
     may be empty — the run then degrades to in-process serial ingest,
-    observable via :func:`last_gather_stats`).
+    observable via :func:`last_gather_stats`).  ``draw`` is
+    :meth:`DistributedExecutor.ingest`'s.
     """
     global _LAST_STATS
     executor = _ACTIVE_EXECUTOR
     if executor is None:
         executor = DistributedExecutor(default_workers())
-    results = executor.ingest(ensembles, streams, batch_size=batch_size)
+    results = executor.ingest(ensembles, streams, batch_size=batch_size,
+                              draw=draw)
     _LAST_STATS = executor.last_stats
     return results
 

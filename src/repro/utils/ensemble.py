@@ -61,7 +61,8 @@ Replica-axis layout
 That stacked state, plus the per-replica parameters the queries read
 (scales, query-time generators), is *all* an ensemble keeps: pickles,
 worker payloads and snapshots carry counters and hash coefficients, not
-object graphs.  One batch of stream updates reaches *all* replicas with a
+object graphs, and an ensemble that has not ingested pickles its zero
+counters as their shapes (``_ZERO_STATE``).  One batch of stream updates reaches *all* replicas with a
 single scatter-add / matrix product per substrate, and per-cell
 accumulation follows the single-sketch order, so replica state is
 bit-identical however the replicas are stacked (asserted against a
@@ -100,7 +101,7 @@ ensembles only; the base class refuses).
 from __future__ import annotations
 
 from contextlib import nullcontext as _NULL_SCOPE
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -149,6 +150,19 @@ def require_replicas(items: Sequence) -> None:
         raise InvalidParameterError("an ensemble needs at least one replica")
 
 
+class ZeroState(NamedTuple):
+    """How a fresh ensemble pickles a zero state array: shape and dtype.
+
+    The dtype is the array's own object, so the pickle shares it with the
+    ensemble's other arrays and the restored zeros carry the same object
+    as they do: re-pickling a restored ensemble then gives the same bytes
+    as re-pickling one restored from a full pickle.
+    """
+
+    shape: tuple
+    dtype: np.dtype
+
+
 class ReplicaEnsemble:
     """Base class for ``R`` independent replicas with one shared ingest pass.
 
@@ -192,18 +206,33 @@ class ReplicaEnsemble:
     #: as ``None``, so pickles, worker payloads and snapshots stay
     #: independent of table size, and re-derived lazily after a restore.
     _DERIVED: tuple = ()
+    #: Zero-initialised state arrays (sketch tables, counters, update
+    #: counts; ``None`` where a mode keeps none).  An ensemble that has not
+    #: ingested pickles each as its :class:`ZeroState`, so a fresh worker
+    #: payload carries hash coefficients and scales, not megabytes of
+    #: zeros; an ingested one pickles them as they are.
+    _ZERO_STATE: tuple = ()
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state.update(dict.fromkeys(self._DERIVED))
+        if self._ZERO_STATE and not self._has_ingested():
+            for name in self._ZERO_STATE:
+                if state[name] is not None:
+                    state[name] = ZeroState(state[name].shape,
+                                            state[name].dtype)
         return state
 
     def __setstate__(self, state):
         """Restore with every derived field unset, also when a state from
         an earlier build kept one: an unpickled ensemble always rebuilds
         its tables from its hash families (and the process-local cache),
-        bit-identically to a freshly built one."""
+        bit-identically to a freshly built one.  Zero state pickled as its
+        shape comes back as a fresh zero array."""
         state.update(dict.fromkeys(self._DERIVED))
+        for name in self._ZERO_STATE:
+            if isinstance(state.get(name), ZeroState):
+                state[name] = np.zeros(state[name].shape, state[name].dtype)
         self.__dict__.update(state)
 
     def _has_ingested(self) -> bool:

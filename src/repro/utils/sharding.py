@@ -106,6 +106,14 @@ Execution back-ends
     All back-ends run the same numpy kernels on the same arrays over the
     same batch boundaries, so the execution mode never changes a single
     bit of the result — parallelism is free to be a pure wall-clock knob.
+
+    A caller that keeps only the draws (:func:`sharded_ensemble_samples`,
+    the coordinator's ``bulk_samples``) asks :func:`ingest_sharded` to
+    ``draw``: each shard is sampled where it was ingested, so a worker
+    process or host sends back its replicas' one-shot samples instead of
+    its sketch tables, and a fresh shard ensemble travels out with its
+    zero tables pickled as shapes.  Merges and concats keep receiving
+    ensembles, because they need the state.
     Benchmarks E9d and E9f (``benchmarks/bench_e9_update_time.py``) track
     the back-ends against the monolithic ensemble in ``BENCH_e9.json``,
     and the CI regression gate (``benchmarks/check_bench_regression.py``)
@@ -138,6 +146,7 @@ __all__ = [
     "concat_ensembles",
     "ingest_sharded",
     "merge_ensembles",
+    "parallel_width",
     "replica_sharded_ensemble",
     "shard_ranges",
     "shard_replicas",
@@ -308,13 +317,13 @@ def _install_worker_streams(stream_table) -> None:
 
 
 def _shard_payloads(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
-                    batch_size: Optional[int]):
+                    batch_size: Optional[int], draw: bool = False):
     """Deduplicated ``(stream_table, payloads)`` for the worker pool.
 
     Streams are deduplicated by identity so the shared-stream replica mode
     contributes one table entry no matter how many shards ingest it; each
-    payload carries only ``(ensemble, slot, batch_size)`` — its size is
-    independent of stream length (regression-tested).
+    payload carries only ``(ensemble, slot, batch_size, draw)`` — its size
+    is independent of stream length (regression-tested).
     """
     slot_of: dict[int, int] = {}
     stream_table: list = []
@@ -328,7 +337,7 @@ def _shard_payloads(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
             stream_table.append((_universe_size(stream),
                                  np.asarray(indices), np.asarray(deltas)))
             slot_of[key] = slot
-        payloads.append((ensemble, slot, batch_size))
+        payloads.append((ensemble, slot, batch_size, draw))
     return stream_table, payloads
 
 
@@ -346,7 +355,8 @@ def _dump_payload(payload) -> list[bytes]:
 
 
 def _ingest_shard(payload):
-    """Worker body: ingest one shard's sub-stream and return the ensemble.
+    """Worker body: ingest one shard's sub-stream and return the ensemble,
+    or with ``draw`` its replicas' one-shot samples.
 
     Module-level so every ``multiprocessing`` start method can import it;
     the stream arrives via the worker's installed table as raw
@@ -355,13 +365,13 @@ def _ingest_shard(payload):
     through exactly the same ``update_stream`` chunking as the serial path
     (bit-identity requires identical batch boundaries).
     """
-    ensemble, slot, batch_size = payload
+    ensemble, slot, batch_size, draw = payload
     from repro.streams.stream import TurnstileStream
 
     n, indices, deltas = _WORKER_STREAMS[slot]
     stream = TurnstileStream.from_arrays(n, indices, deltas)
     ensemble.update_stream(stream, batch_size=batch_size)
-    return ensemble
+    return ensemble.replica_samples() if draw else ensemble
 
 
 def _ingest_shard_frames(frames):
@@ -369,9 +379,29 @@ def _ingest_shard_frames(frames):
     return _dump_payload(_ingest_shard(loads_frames(frames)))
 
 
+def parallel_width(config: Optional[ExecutionConfig] = None) -> int:
+    """How many shards the back-end of ``config`` runs at once.
+
+    The worker count under ``distributed`` (``config.workers``, else the
+    active :func:`repro.utils.coordinator.worker_pool` or the default
+    registry; at least 1, since with no worker the run degrades to
+    serial), ``processes`` (default :func:`usable_cpu_count`) under
+    ``threaded`` and ``multiprocessing``, and 1 under ``serial``.
+    """
+    cfg = ExecutionConfig() if config is None else config
+    if cfg.execution == "serial":
+        return 1
+    if cfg.execution == "distributed":
+        from repro.utils.coordinator import worker_count
+
+        return max(1, len(cfg.workers) if cfg.workers else worker_count())
+    return int(cfg.processes or usable_cpu_count())
+
+
 def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
                    *, config: Optional[ExecutionConfig] = None,
-                   batch_size: Optional[int] = None) -> list[ReplicaEnsemble]:
+                   batch_size: Optional[int] = None,
+                   draw: bool = False) -> list:
     """Ingest ``streams[i]`` into ``ensembles[i]``, serially or in parallel.
 
     ``serial`` ingests in-process and returns the same ensemble objects;
@@ -390,6 +420,13 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
     shard re-dispatches, and when no worker is reachable at all (the run
     degrades to this function's serial loop).
 
+    With ``draw`` each shard is drawn where it was ingested and the result
+    is, per shard, the list of its replicas' one-shot samples
+    (``replica_samples()``) instead of the ensemble: a worker process or
+    host sends back draws, not sketch tables.  A draw is a pure function
+    of the replica's state and its own query-time generator, so the
+    samples equal the serial ones under every back-end.
+
     ``config`` selects the back-end: its ``execution``/``processes``/
     ``batch_size`` fields (an explicit ``batch_size`` argument wins), and
     its ``workers``/``cluster_secret`` fields scope a
@@ -398,7 +435,6 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
     """
     cfg = ExecutionConfig() if config is None else config
     execution = cfg.execution
-    processes = cfg.processes
     if batch_size is None:
         batch_size = cfg.batch_size
     ensembles = list(ensembles)
@@ -418,11 +454,10 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
                     "utf-8", "surrogateescape")
             with worker_pool(cfg.workers, **pool_kwargs):
                 return distributed_ingest(ensembles, streams,
-                                          batch_size=batch_size)
-        return distributed_ingest(ensembles, streams, batch_size=batch_size)
-    if processes is None:
-        processes = usable_cpu_count()
-    processes = min(int(processes), max(len(ensembles), 1))
+                                          batch_size=batch_size, draw=draw)
+        return distributed_ingest(ensembles, streams, batch_size=batch_size,
+                                  draw=draw)
+    processes = min(parallel_width(cfg), max(len(ensembles), 1))
     # A 1-thread pool is exactly the serial loop, so `threaded` degrades to
     # it for free; `multiprocessing` keeps its 1-worker pool instead — its
     # contract (pickling failures surface, results come back freshly
@@ -431,7 +466,7 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
             execution == "threaded" and processes <= 1):
         for ensemble, stream in zip(ensembles, streams):
             ensemble.update_stream(stream, batch_size=batch_size)
-        return ensembles
+        return _drawn(ensembles, draw)
     if execution == "threaded":
         # In-process and zero-copy: each thread owns its shard ensemble's
         # arrays, the shared stream is only ever read, and the hot kernels
@@ -441,8 +476,9 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
                 lambda pair: pair[0].update_stream(pair[1],
                                                    batch_size=batch_size),
                 zip(ensembles, streams)))
-        return ensembles
-    stream_table, payloads = _shard_payloads(ensembles, streams, batch_size)
+        return _drawn(ensembles, draw)
+    stream_table, payloads = _shard_payloads(ensembles, streams, batch_size,
+                                             draw)
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
     try:
@@ -463,6 +499,13 @@ def ingest_sharded(ensembles: Sequence[ReplicaEnsemble], streams: Sequence,
         raise InvalidParameterError(
             "multiprocessing execution requires picklable ensembles "
             f"(use execution='serial' or 'threaded' instead): {error}") from error
+
+
+def _drawn(ensembles: Sequence[ReplicaEnsemble], draw: bool) -> list:
+    """In-process results: the ensembles, or with ``draw`` their samples."""
+    if not draw:
+        return list(ensembles)
+    return [ensemble.replica_samples() for ensemble in ensembles]
 
 
 def replica_sharded_ensemble(instances: Sequence, stream=None, *,
@@ -558,20 +601,28 @@ def sharded_ensemble_samples(factory: Callable[[int], object],
                              batch_size: Optional[int] = None) -> list:
     """Sharded drop-in for :func:`repro.utils.ensemble.ensemble_samples`.
 
-    Builds the ``len(seeds)`` replicas, drives them replica-sharded across
-    ``config.num_shards`` workers (default: ``config.processes``, else the
-    CPU count), and returns the per-replica one-shot samples in seed order
-    — bit-identical to the monolithic engine and hence to the sequential
-    construct/replay/sample loop.
+    Builds the ``len(seeds)`` replicas, splits them into
+    ``config.num_shards`` contiguous shard ensembles (default: the
+    back-end's :func:`parallel_width` — the worker count under
+    ``distributed``, ``processes`` or the CPU count otherwise), and has
+    every shard ingest the stream *and draw* where it runs
+    (:func:`ingest_sharded` with ``draw``): a process or host worker sends
+    back its replicas' one-shot samples, never their sketches.  Returns
+    the samples in seed order, bit-identical to the monolithic engine and
+    hence to the sequential construct/replay/sample loop.
     """
     cfg = ExecutionConfig() if config is None else config
     with cfg.table_mode_scope():
         instances = [factory(seed) for seed in seeds]
     if not instances:
         return []
-    num_shards = cfg.num_shards or cfg.processes or usable_cpu_count()
-    num_shards = min(int(num_shards), len(instances))
-    ensemble = replica_sharded_ensemble(
-        instances, stream, config=cfg.replace(num_shards=num_shards),
-        batch_size=batch_size)
-    return ensemble.replica_samples()
+    num_shards = min(int(cfg.num_shards or parallel_width(cfg)),
+                     len(instances))
+    ensembles = [build_ensemble(group)
+                 for group in shard_replicas(instances, num_shards) if group]
+    if stream is None:
+        drawn = _drawn(ensembles, draw=True)
+    else:
+        drawn = ingest_sharded(ensembles, [stream] * len(ensembles),
+                               config=cfg, batch_size=batch_size, draw=True)
+    return [sample for samples in drawn for sample in samples]
